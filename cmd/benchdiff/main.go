@@ -136,11 +136,11 @@ func regressed(key string, ov, nv any) bool {
 		return false
 	}
 	switch leaf := benchkit.Leaf(key); {
-	case leaf == "failed" || strings.HasSuffix(leaf,"_failed"):
+	case leaf == "failed" || strings.HasSuffix(leaf, "_failed"):
 		return nf > of
 	case leaf == "passed" || leaf == "delivered":
 		return nf < of
-	case leaf == "shed" || strings.HasSuffix(leaf,"_shed"):
+	case leaf == "shed" || strings.HasSuffix(leaf, "_shed"):
 		return nf > of
 	case leaf == "switch_aborts" || leaf == "token_regens" || leaf == "violations":
 		// Gray-failure stability (the E20 rows in BENCH_chaos.json):

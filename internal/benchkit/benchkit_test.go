@@ -32,8 +32,8 @@ func TestFlattenDropsTimingOnlyWhenAsked(t *testing.T) {
 
 func TestLeaf(t *testing.T) {
 	for in, want := range map[string]string{
-		"failed":                 "failed",
-		"rows[2].msgs_per_sec":   "msgs_per_sec",
+		"failed":                      "failed",
+		"rows[2].msgs_per_sec":        "msgs_per_sec",
 		"series[0].members[1].p99_us": "p99_us",
 	} {
 		if got := Leaf(in); got != want {

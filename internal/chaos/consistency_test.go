@@ -15,13 +15,29 @@ type memberCounts struct {
 	suspects                           uint64
 }
 
+// registryStats sums the live members' Stats as read from the metrics
+// registry — the recorder-side view of the same counts Switch.Stats
+// reads from the member's own tally.
+func registryStats(m *obs.Metrics, live []ids.ProcID) switching.Stats {
+	var s switching.Stats
+	for _, p := range live {
+		var c obs.Counts
+		for t := range c {
+			c[t] = m.Counter(p, obs.EventType(t))
+		}
+		s.Add(switching.StatsOf(c))
+	}
+	return s
+}
+
 // TestStatsTraceConsistency replays seeded chaos schedules with a
 // collector attached and cross-checks three views of the same run:
 //
 //  1. each live member's own switching.Stats() against the event
 //     counts that member emitted into the trace,
-//  2. Result.Stats (derived from the metrics registry) against the
-//     manual sum of the live members' Stats(), and
+//  2. the live members' Stats() read from the metrics registry (fed
+//     through the recorder fan-out) against the manual sum of their
+//     own Switch.Stats(), and
 //  3. the causal ordering invariant: at every prefix of a member's
 //     event stream, token regenerations never outnumber the wedge
 //     timeouts and suspicions that justify them — every replacement
@@ -108,10 +124,11 @@ func TestStatsTraceConsistency(t *testing.T) {
 			}
 		}
 
-		// View 2: the metrics-derived aggregate equals the manual sum.
-		if res.Stats != manual {
-			t.Errorf("seed %d: Result.Stats %+v != summed member stats %+v",
-				seed, res.Stats, manual)
+		// View 2: the registry, fed through the recorder fan-out, agrees
+		// with the members' own tallies.
+		if reg := registryStats(res.Metrics, res.Live); reg != manual {
+			t.Errorf("seed %d: registry stats %+v != summed member stats %+v",
+				seed, reg, manual)
 		}
 
 		sawWedge = sawWedge || res.Stats.WedgeTimeouts > 0
@@ -129,7 +146,7 @@ func TestStatsTraceConsistency(t *testing.T) {
 // member's EvShed / EvBackpressureOn / EvRetrySend trace events must
 // equal that member's own Stats().Shed / Backpressured / RetriedSends,
 // the per-peer ingress-shed attribution must equal ShedFrom, the
-// metrics-derived Result.Stats must equal the manual sum, and the
+// registry-derived stats must equal the manual sum, and the
 // watermark edges must pair up (never more resumes than pauses at any
 // prefix). The sweep must be non-vacuous on all three counters.
 func TestOverloadTraceConsistency(t *testing.T) {
@@ -201,9 +218,9 @@ func TestOverloadTraceConsistency(t *testing.T) {
 			sawPause = sawPause || st.Backpressured > 0
 			sawRetry = sawRetry || st.RetriedSends > 0
 		}
-		if res.Stats != manual {
-			t.Errorf("seed %d: Result.Stats %+v != summed member stats %+v",
-				seed, res.Stats, manual)
+		if reg := registryStats(res.Metrics, res.Live); reg != manual {
+			t.Errorf("seed %d: registry stats %+v != summed member stats %+v",
+				seed, reg, manual)
 		}
 	}
 	if !sawShed || !sawPause || !sawRetry {
@@ -216,8 +233,8 @@ func TestOverloadTraceConsistency(t *testing.T) {
 // adaptive-detector counters: across seeded gray schedules, each live
 // member's EvSuspicionRaise / EvSuspicionClear / EvFlapPenalty /
 // EvDegradedSkip / EvReinclude trace events must equal that member's
-// own Stats() gray counters, the metrics-derived Result.Stats must
-// equal the manual sum, and two causal prefix invariants must hold at
+// own Stats() gray counters, the registry-derived stats must equal
+// the manual sum, and two causal prefix invariants must hold at
 // every point of a member's stream: a graded suspicion never clears
 // without a preceding raise, and a peer is never re-included without a
 // preceding flap penalty. The sweep must be non-vacuous on raises,
@@ -279,9 +296,9 @@ func TestGrayTraceConsistency(t *testing.T) {
 			sawPenalty = sawPenalty || st.FlapPenalties > 0
 			sawSkip = sawSkip || st.DegradedSkips > 0
 		}
-		if res.Stats != manual {
-			t.Errorf("seed %d: Result.Stats %+v != summed member stats %+v",
-				seed, res.Stats, manual)
+		if reg := registryStats(res.Metrics, res.Live); reg != manual {
+			t.Errorf("seed %d: registry stats %+v != summed member stats %+v",
+				seed, reg, manual)
 		}
 	}
 	if !sawRaise || !sawPenalty || !sawSkip {

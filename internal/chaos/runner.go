@@ -137,7 +137,7 @@ type Result struct {
 	// Delivered is the total number of application deliveries across
 	// live members.
 	Delivered int
-	// Stats aggregates the switching stats of the live members.
+	// Stats sums the live members' Switch.Stats().
 	Stats switching.Stats
 	// Events is the number of DES events the run executed
 	// (deterministic per seed).
@@ -150,8 +150,8 @@ type Result struct {
 	// Violations lists every invariant breach; empty means the run
 	// passed.
 	Violations []string
-	// Metrics is the per-member registry built from the run's event
-	// stream; Stats above is derived from it for the live members.
+	// Metrics is the per-member registry fed by the run's recorder
+	// fan-out (crashed members and network events included).
 	Metrics *obs.Metrics
 	// FlightRecord is the tail of the event stream (oldest first) when
 	// the run failed an invariant; nil on a clean run. FlightDropped is
@@ -208,7 +208,7 @@ func run(sched Schedule, cfg RunConfig) (*Result, *swtest.SwitchedCluster, error
 	metrics := obs.NewMetrics()
 	flight := obs.NewFlightRecorder(cfg.FlightSize)
 	disrupt := newDisruptionTracker()
-	recs := []obs.Recorder{metrics.Recorder(), flight, disrupt, cfg.Recorder}
+	recs := []obs.Recorder{metrics, flight, disrupt, cfg.Recorder}
 	var tel *telemetry.Telemetry
 	if cfg.Telemetry != nil {
 		tc := *cfg.Telemetry
@@ -462,7 +462,9 @@ func run(sched Schedule, cfg RunConfig) (*Result, *swtest.SwitchedCluster, error
 		bodies[p] = b
 		res.Delivered += len(b)
 	}
-	res.Stats = statsFromMetrics(metrics, res.Live)
+	for _, p := range res.Live {
+		res.Stats.Add(c.Members[p].Switch.Stats())
+	}
 	res.FinalEpoch = c.Members[res.Live[0]].Switch.Epoch()
 
 	res.Violations = append(res.Violations, checkConverged(c, res.Live)...)
@@ -505,36 +507,6 @@ func (r *Result) attachTelemetry(tel *telemetry.Telemetry, end time.Duration) {
 		}
 		r.TelemetryTail = tail
 	}
-}
-
-// statsFromMetrics rebuilds the aggregate switching.Stats of the live
-// members from the event-derived registry. Every Stats field has a 1:1
-// event emission, so this equals summing the members' own counters —
-// the consistency test asserts exactly that.
-func statsFromMetrics(m *obs.Metrics, live []ids.ProcID) switching.Stats {
-	var s switching.Stats
-	for _, p := range live {
-		s.TokenPasses += m.Counter(p, obs.KeyTokenPasses)
-		s.SwitchesCompleted += m.Counter(p, obs.KeySwitchesCompleted)
-		s.Buffered += m.Counter(p, obs.KeyBuffered)
-		s.StaleDropped += m.Counter(p, obs.KeyStaleDropped)
-		s.WedgeTimeouts += m.Counter(p, obs.KeyWedgeTimeouts)
-		s.TokensRegenerated += m.Counter(p, obs.KeyTokensRegenerated)
-		s.SwitchesAborted += m.Counter(p, obs.KeySwitchesAborted)
-		s.ForcedAdvances += m.Counter(p, obs.KeyForcedAdvances)
-		s.MalformedDropped += m.Counter(p, obs.KeyMalformedDropped)
-		s.Quarantines += m.Counter(p, obs.KeyQuarantines)
-		s.AuthFailed += m.Counter(p, obs.KeyAuthFailed)
-		s.Shed += m.Counter(p, obs.KeyShed)
-		s.Backpressured += m.Counter(p, obs.KeyBackpressured)
-		s.RetriedSends += m.Counter(p, obs.KeyRetriedSends)
-		s.SuspicionsRaised += m.Counter(p, obs.KeySuspicionsRaised)
-		s.SuspicionsCleared += m.Counter(p, obs.KeySuspicionsCleared)
-		s.FlapPenalties += m.Counter(p, obs.KeyFlapPenalties)
-		s.DegradedSkips += m.Counter(p, obs.KeyDegradedSkips)
-		s.Reincludes += m.Counter(p, obs.KeyReincludes)
-	}
-	return s
 }
 
 // spikeCastsPerMult and spikeCastSpacing shape the flash crowd: Size×8

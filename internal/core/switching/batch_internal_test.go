@@ -265,8 +265,8 @@ func TestRecvBatchRoundTrip(t *testing.T) {
 			t.Fatalf("inner frame %d = %q, want %q", i, (*delivered)[i], want)
 		}
 	}
-	if s.stats.MalformedDropped != 0 {
-		t.Fatalf("well-formed batch counted %d malformed", s.stats.MalformedDropped)
+	if s.Stats().MalformedDropped != 0 {
+		t.Fatalf("well-formed batch counted %d malformed", s.Stats().MalformedDropped)
 	}
 }
 
@@ -300,8 +300,8 @@ func TestRecvBatchAllOrNothing(t *testing.T) {
 		if len(*delivered) != 0 {
 			t.Errorf("%s: delivered %d frames from a corrupt batch, want 0", tc.name, len(*delivered))
 		}
-		if s.stats.MalformedDropped != 1 {
-			t.Errorf("%s: counted %d malformed drops, want 1", tc.name, s.stats.MalformedDropped)
+		if s.Stats().MalformedDropped != 1 {
+			t.Errorf("%s: counted %d malformed drops, want 1", tc.name, s.Stats().MalformedDropped)
 		}
 	}
 }

@@ -257,17 +257,17 @@ func (o *overload) stop() {
 	}
 }
 
-// shed counts one shed message at the exact site its event is recorded.
+// shed emits one shed message (counted by emit) and attributes ingress
+// sheds to their sender for ShedFrom.
 func (o *overload) shed(peer ids.ProcID, reason int64, depth int) {
 	s := o.s
-	s.stats.Shed++
 	if reason == obs.ShedIngress {
 		if o.shedBy == nil {
 			o.shedBy = make(map[ids.ProcID]uint64)
 		}
 		o.shedBy[peer]++
 	}
-	s.obs.Record(obs.Shed(s.env.Now(), s.env.Self(), peer, reason, depth))
+	s.emit(obs.Shed(s.env.Now(), s.env.Self(), peer, reason, depth))
 }
 
 // --- ingress ---
@@ -408,8 +408,7 @@ func (o *overload) enqueueEgress(ent egressEntry) {
 	}
 	if !o.paused && len(o.egress) >= o.cfg.HighWatermark {
 		o.paused = true
-		s.stats.Backpressured++
-		s.obs.Record(obs.BackpressureOn(s.env.Now(), s.env.Self(), len(o.egress)))
+		s.emit(obs.BackpressureOn(s.env.Now(), s.env.Self(), len(o.egress)))
 		if o.cfg.OnBackpressure != nil {
 			o.cfg.OnBackpressure(true)
 		}
@@ -449,7 +448,7 @@ func (o *overload) drainEgress() {
 	}
 	if o.paused && len(o.egress) <= o.cfg.LowWatermark {
 		o.paused = false
-		s.obs.Record(obs.BackpressureOff(s.env.Now(), s.env.Self(), len(o.egress)))
+		s.emit(obs.BackpressureOff(s.env.Now(), s.env.Self(), len(o.egress)))
 		if o.cfg.OnBackpressure != nil {
 			o.cfg.OnBackpressure(false)
 		}
@@ -470,8 +469,7 @@ func (o *overload) scheduleRetry(ent egressEntry, attempt int) {
 	}
 	backoff := o.cfg.RetryBackoff << (attempt - 1)
 	backoff += time.Duration(s.env.Rand().Int63n(int64(backoff/2) + 1))
-	s.stats.RetriedSends++
-	s.obs.Record(obs.RetrySend(s.env.Now(), s.env.Self(), attempt, backoff))
+	s.emit(obs.RetrySend(s.env.Now(), s.env.Self(), attempt, backoff))
 	o.retrying++
 	s.env.After(backoff, func() {
 		if s.stopped {

@@ -66,13 +66,13 @@ func TestRecorderReachesEveryMember(t *testing.T) {
 	for p := 0; p < n; p++ {
 		st := c.Members[p].Switch.Stats()
 		pid := ids.ProcID(p)
-		if got := m.Counter(pid, obs.KeyTokenPasses); got != st.TokenPasses {
+		if got := m.Counter(pid, obs.EvTokenPass); got != st.TokenPasses {
 			t.Errorf("member %d: replayed token passes %d != stats %d", p, got, st.TokenPasses)
 		}
-		if got := m.Counter(pid, obs.KeySwitchesCompleted); got != st.SwitchesCompleted {
+		if got := m.Counter(pid, obs.EvEpochAdvance); got != st.SwitchesCompleted {
 			t.Errorf("member %d: replayed switch completions %d != stats %d", p, got, st.SwitchesCompleted)
 		}
-		if got := m.Counter(pid, obs.KeyBuffered); got != st.Buffered {
+		if got := m.Counter(pid, obs.EvBuffered); got != st.Buffered {
 			t.Errorf("member %d: replayed buffer count %d != stats %d", p, got, st.Buffered)
 		}
 	}

@@ -36,7 +36,7 @@ func TestRecordAllocsMetricsCounter(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("metrics counter Record allocated %.1f times per op, want 0", allocs)
 	}
-	if got := m.Counter(1, CounterKey(EvTokenPass)); got != 101*100+1 {
+	if got := m.Counter(1, EvTokenPass); got != 101*100+1 {
 		// AllocsPerRun runs the body runs+1 times (one warm-up round
 		// included in its own accounting); just sanity-check it counted.
 		if got == 0 {

@@ -8,98 +8,54 @@ import (
 	"repro/internal/ids"
 )
 
-// Counter keys are "<layer>/<name>". The switching-layer keys mirror
-// switching.Stats field names, so event-derived counters and the
-// protocol's own counters can be compared one-to-one.
-const (
-	KeyTokenPasses       = "switching/token_passes"
-	KeySwitchesCompleted = "switching/switches_completed"
-	KeyBuffered          = "switching/buffered"
-	KeyStaleDropped      = "switching/stale_dropped"
-	KeyWedgeTimeouts     = "switching/wedge_timeouts"
-	KeyTokensRegenerated = "switching/tokens_regenerated"
-	KeySwitchesAborted   = "switching/switches_aborted"
-	KeyForcedAdvances    = "switching/forced_advances"
-	KeySwitchesStarted   = "switching/switches_started"
-	KeySwitchRounds      = "switching/switch_rounds"
-	KeySuspects          = "switching/suspects"
-	KeySuspectsCleared   = "switching/suspects_cleared"
-	KeySuspicionsRaised  = "switching/suspicions_raised"
-	KeySuspicionsCleared = "switching/suspicions_cleared"
-	KeyFlapPenalties     = "switching/flap_penalties"
-	KeyDegradedSkips     = "switching/degraded_skips"
-	KeyReincludes        = "switching/reincludes"
-	KeyMalformedDropped  = "switching/malformed_dropped"
-	KeyQuarantines       = "switching/quarantines"
-	KeyAuthFailed        = "switching/auth_failed"
-	KeyShed              = "switching/shed"
-	KeyBackpressured     = "switching/backpressured"
-	KeyRetriedSends      = "switching/retried_sends"
+// KeySwitchDuration is the per-member histogram of initiated switch
+// round durations (EvSwitchComplete).
+const KeySwitchDuration = "switching/switch_duration"
 
-	KeyNetCrashes     = "net/crashes"
-	KeyNetPartitions  = "net/partitions"
-	KeyNetHeals       = "net/heals"
-	KeyNetFaultSets   = "net/fault_sets"
-	KeyNetDrops       = "net/drops"
-	KeyNetDelays      = "net/delays"
-	KeyNetCorruptSets = "net/corrupt_sets"
-	KeyNetCorrupts    = "net/corrupts"
-	KeyNetTruncates   = "net/truncates"
-	KeyNetGarbage     = "net/garbage"
-	KeyNetForged      = "net/forged"
-	KeyNetReplayed    = "net/replayed"
-	KeyNetSpikes      = "net/sender_spikes"
-	KeyNetLinkFaults  = "net/link_fault_sets"
-	KeyNetSlowNodes   = "net/slow_node_sets"
-	KeyNetFlapSets    = "net/flap_sets"
-
-	// KeySwitchDuration is the per-member histogram of initiated switch
-	// round durations (EvSwitchComplete).
-	KeySwitchDuration = "switching/switch_duration"
-)
-
-// counterKey maps event types to the counter they increment; types not
-// listed (token holds, phases) are trace-only.
+// counterKey maps event types to the "<layer>/<name>" counter they
+// render under; types not listed (token holds, phases, queue-depth
+// samples) are trace-only. The switching-layer names are the JSON tags
+// of switching.Stats, whose fields are views over the same counts.
 var counterKey = [eventTypeCount]string{
-	EvTokenPass:      KeyTokenPasses,
-	EvTokenRegen:     KeyTokensRegenerated,
-	EvSwitchStart:    KeySwitchesStarted,
-	EvSwitchComplete: KeySwitchRounds,
-	EvSwitchAbort:    KeySwitchesAborted,
-	EvEpochAdvance:   KeySwitchesCompleted,
-	EvEpochForced:    KeyForcedAdvances,
-	EvBuffered:       KeyBuffered,
-	EvStaleDrop:      KeyStaleDropped,
-	EvWedgeTimeout:   KeyWedgeTimeouts,
-	EvSuspect:        KeySuspects,
-	EvCrash:          KeyNetCrashes,
-	EvPartition:      KeyNetPartitions,
-	EvHeal:           KeyNetHeals,
-	EvFaultSet:       KeyNetFaultSets,
-	EvDrop:           KeyNetDrops,
-	EvDelay:          KeyNetDelays,
-	EvCorruptSet:     KeyNetCorruptSets,
-	EvCorrupt:        KeyNetCorrupts,
-	EvTruncate:       KeyNetTruncates,
-	EvGarbage:        KeyNetGarbage,
-	EvMalformedDrop:  KeyMalformedDropped,
-	EvQuarantine:     KeyQuarantines,
-	EvAuthFail:       KeyAuthFailed,
-	EvForged:         KeyNetForged,
-	EvReplayed:       KeyNetReplayed,
-	EvShed:           KeyShed,
-	EvBackpressureOn: KeyBackpressured,
-	EvRetrySend:      KeyRetriedSends,
-	EvSenderSpike:    KeyNetSpikes,
-	EvSuspectCleared: KeySuspectsCleared,
-	EvSuspicionRaise: KeySuspicionsRaised,
-	EvSuspicionClear: KeySuspicionsCleared,
-	EvFlapPenalty:    KeyFlapPenalties,
-	EvDegradedSkip:   KeyDegradedSkips,
-	EvReinclude:      KeyReincludes,
-	EvLinkFaultSet:   KeyNetLinkFaults,
-	EvSlowNodeSet:    KeyNetSlowNodes,
-	EvFlapSet:        KeyNetFlapSets,
+	EvTokenPass:      "switching/token_passes",
+	EvTokenRegen:     "switching/tokens_regenerated",
+	EvSwitchStart:    "switching/switches_started",
+	EvSwitchComplete: "switching/switch_rounds",
+	EvSwitchAbort:    "switching/switches_aborted",
+	EvEpochAdvance:   "switching/switches_completed",
+	EvEpochForced:    "switching/forced_advances",
+	EvBuffered:       "switching/buffered",
+	EvStaleDrop:      "switching/stale_dropped",
+	EvWedgeTimeout:   "switching/wedge_timeouts",
+	EvSuspect:        "switching/suspects",
+	EvCrash:          "net/crashes",
+	EvPartition:      "net/partitions",
+	EvHeal:           "net/heals",
+	EvFaultSet:       "net/fault_sets",
+	EvDrop:           "net/drops",
+	EvDelay:          "net/delays",
+	EvCorruptSet:     "net/corrupt_sets",
+	EvCorrupt:        "net/corrupts",
+	EvTruncate:       "net/truncates",
+	EvGarbage:        "net/garbage",
+	EvMalformedDrop:  "switching/malformed_dropped",
+	EvQuarantine:     "switching/quarantines",
+	EvAuthFail:       "switching/auth_failed",
+	EvForged:         "net/forged",
+	EvReplayed:       "net/replayed",
+	EvShed:           "switching/shed",
+	EvBackpressureOn: "switching/backpressured",
+	EvRetrySend:      "switching/retried_sends",
+	EvSenderSpike:    "net/sender_spikes",
+	EvSuspectCleared: "switching/suspects_cleared",
+	EvSuspicionRaise: "switching/suspicions_raised",
+	EvSuspicionClear: "switching/suspicions_cleared",
+	EvFlapPenalty:    "switching/flap_penalties",
+	EvDegradedSkip:   "switching/degraded_skips",
+	EvReinclude:      "switching/reincludes",
+	EvLinkFaultSet:   "net/link_fault_sets",
+	EvSlowNodeSet:    "net/slow_node_sets",
+	EvFlapSet:        "net/flap_sets",
 }
 
 // CounterKey returns the counter an event type increments ("" for
@@ -109,6 +65,29 @@ func CounterKey(t EventType) string {
 		return counterKey[t]
 	}
 	return ""
+}
+
+// Counts is one tally of events by type — the single counter source.
+// The switching core keeps one per member and bumps it where each
+// event is emitted; the metrics registry and the telemetry windows
+// keep one per member as well. Every counter view (switching.Stats,
+// artifact counter maps) is read from a Counts.
+type Counts [eventTypeCount]uint64
+
+// Map renders the non-zero counted entries under their CounterKey
+// (nil when there are none); trace-only types are left out.
+func (c *Counts) Map() map[string]uint64 {
+	var out map[string]uint64
+	for t, n := range c {
+		if n == 0 || counterKey[t] == "" {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]uint64)
+		}
+		out[counterKey[t]] = n
+	}
+	return out
 }
 
 // HistogramBuckets is the fixed bucket count of the deterministic
@@ -244,17 +223,16 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return BucketHigh(HistogramBuckets - 1)
 }
 
-// Metrics is the per-member, per-layer registry: counters and latency
-// histograms keyed by "<layer>/<name>". It is a plain accumulator —
-// callers feed it either directly or through the event adapter
-// returned by Recorder.
+// Metrics is the per-member, per-layer registry: one event tally and
+// one switch-duration histogram per member. It is itself the Recorder
+// that feeds it.
 type Metrics struct {
 	members map[ids.ProcID]*memberMetrics
 }
 
 type memberMetrics struct {
-	counters map[string]uint64
-	hists    map[string]*Histogram
+	counts Counts
+	dur    Histogram
 }
 
 // NewMetrics returns an empty registry.
@@ -265,40 +243,47 @@ func NewMetrics() *Metrics {
 func (m *Metrics) member(p ids.ProcID) *memberMetrics {
 	mm := m.members[p]
 	if mm == nil {
-		mm = &memberMetrics{counters: make(map[string]uint64), hists: make(map[string]*Histogram)}
+		mm = &memberMetrics{}
 		m.members[p] = mm
 	}
 	return mm
 }
 
-// Add increments member p's counter key by delta.
-func (m *Metrics) Add(p ids.ProcID, key string, delta uint64) {
-	m.member(p).counters[key] += delta
-}
-
-// Observe adds one duration to member p's histogram key.
-func (m *Metrics) Observe(p ids.ProcID, key string, d time.Duration) {
-	mm := m.member(p)
-	h := mm.hists[key]
-	if h == nil {
-		h = &Histogram{}
-		mm.hists[key] = h
+// Record counts the event under its member, and observes the round
+// duration of switch completions. Trace-only types are skipped before
+// the member is looked up, so a member seen only in trace-only events
+// has no registry entry.
+func (m *Metrics) Record(e Event) {
+	if CounterKey(e.Type) == "" {
+		return
 	}
-	h.Observe(d)
+	mm := m.member(e.Proc)
+	mm.counts[e.Type]++
+	if e.Type == EvSwitchComplete {
+		mm.dur.Observe(time.Duration(e.Args[0]))
+	}
 }
 
-// Counter returns member p's counter value (zero when absent).
-func (m *Metrics) Counter(p ids.ProcID, key string) uint64 {
-	if mm := m.members[p]; mm != nil {
-		return mm.counters[key]
+// Enabled reports true (Recorder contract).
+func (m *Metrics) Enabled() bool { return true }
+
+// Recorder returns m as a Recorder.
+func (m *Metrics) Recorder() Recorder { return m }
+
+// Counter returns member p's count of events of type t (zero when
+// absent or trace-only).
+func (m *Metrics) Counter(p ids.ProcID, t EventType) uint64 {
+	if mm := m.members[p]; mm != nil && CounterKey(t) != "" {
+		return mm.counts[t]
 	}
 	return 0
 }
 
-// Hist returns member p's histogram (nil when absent).
-func (m *Metrics) Hist(p ids.ProcID, key string) *Histogram {
+// SwitchDuration returns member p's switch-duration histogram (nil
+// when absent).
+func (m *Metrics) SwitchDuration(p ids.ProcID) *Histogram {
 	if mm := m.members[p]; mm != nil {
-		return mm.hists[key]
+		return &mm.dur
 	}
 	return nil
 }
@@ -320,37 +305,12 @@ func (m *Metrics) Merge(o *Metrics) {
 	}
 	for p, om := range o.members {
 		mm := m.member(p)
-		for k, v := range om.counters {
-			mm.counters[k] += v
+		for t, n := range om.counts {
+			mm.counts[t] += n
 		}
-		for k, h := range om.hists {
-			dst := mm.hists[k]
-			if dst == nil {
-				dst = &Histogram{}
-				mm.hists[k] = dst
-			}
-			dst.Merge(*h)
-		}
+		mm.dur.Merge(om.dur)
 	}
 }
-
-// Recorder returns the event adapter that feeds the registry: every
-// event increments its member's mapped counter, and switch completions
-// additionally observe the round duration histogram.
-func (m *Metrics) Recorder() Recorder { return metricsRecorder{m} }
-
-type metricsRecorder struct{ m *Metrics }
-
-func (r metricsRecorder) Record(e Event) {
-	if key := CounterKey(e.Type); key != "" {
-		r.m.Add(e.Proc, key, 1)
-	}
-	if e.Type == EvSwitchComplete {
-		r.m.Observe(e.Proc, KeySwitchDuration, time.Duration(e.Args[0]))
-	}
-}
-
-func (r metricsRecorder) Enabled() bool { return true }
 
 // HistogramJSON is a histogram's artifact form: total count, total
 // duration in microseconds, and the trimmed bucket counts (bucket i
@@ -380,18 +340,9 @@ func (m *Metrics) Snapshot() []MemberMetrics {
 	out := make([]MemberMetrics, 0, len(m.members))
 	for _, p := range m.Procs() {
 		mm := m.members[p]
-		s := MemberMetrics{Proc: int(p)}
-		if len(mm.counters) > 0 {
-			s.Counters = make(map[string]uint64, len(mm.counters))
-			for k, v := range mm.counters {
-				s.Counters[k] = v
-			}
-		}
-		if len(mm.hists) > 0 {
-			s.Histograms = make(map[string]HistogramJSON, len(mm.hists))
-			for k, h := range mm.hists {
-				s.Histograms[k] = h.ToJSON()
-			}
+		s := MemberMetrics{Proc: int(p), Counters: mm.counts.Map()}
+		if mm.dur.Count() > 0 {
+			s.Histograms = map[string]HistogramJSON{KeySwitchDuration: mm.dur.ToJSON()}
 		}
 		out = append(out, s)
 	}

@@ -128,22 +128,26 @@ func TestMetricsRecorderMapsEvents(t *testing.T) {
 	r.Record(SwitchComplete(4, 1, 1, 1, 31*time.Millisecond))
 	r.Record(TokenHold(5, 1, 1, 0, 0)) // trace-only: no counter
 	r.Record(Crash(6, 2))
+	r.Record(Phase(7, 9, 2, 0, 0)) // trace-only: no registry entry for 9
 
-	if got := m.Counter(1, KeyTokenPasses); got != 2 {
+	if got := m.Counter(1, EvTokenPass); got != 2 {
 		t.Errorf("token passes = %d", got)
 	}
-	if got := m.Counter(1, KeyWedgeTimeouts); got != 1 {
+	if got := m.Counter(1, EvWedgeTimeout); got != 1 {
 		t.Errorf("wedge timeouts = %d", got)
 	}
-	if got := m.Counter(1, KeyTokensRegenerated); got != 1 {
+	if got := m.Counter(1, EvTokenRegen); got != 1 {
 		t.Errorf("regens = %d", got)
 	}
-	if got := m.Counter(2, KeyNetCrashes); got != 1 {
+	if got := m.Counter(2, EvCrash); got != 1 {
 		t.Errorf("crashes = %d", got)
 	}
-	h := m.Hist(1, KeySwitchDuration)
+	h := m.SwitchDuration(1)
 	if h == nil || h.Count() != 1 || h.Sum() != 31*time.Millisecond {
 		t.Errorf("switch duration histogram wrong: %+v", h)
+	}
+	if procs := m.Procs(); len(procs) != 2 || procs[0] != 1 || procs[1] != 2 {
+		t.Errorf("registry members = %v, want [1 2]", procs)
 	}
 	if CounterKey(EvTokenHold) != "" || CounterKey(EvPhase) != "" {
 		t.Error("trace-only events must not map to counters")
@@ -152,17 +156,21 @@ func TestMetricsRecorderMapsEvents(t *testing.T) {
 
 func TestMetricsMergeAndSnapshotOrder(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
-	a.Add(3, KeyTokenPasses, 2)
-	a.Observe(3, KeySwitchDuration, time.Millisecond)
-	b.Add(0, KeyTokenPasses, 1)
-	b.Add(3, KeyTokenPasses, 5)
-	b.Observe(3, KeySwitchDuration, 2*time.Millisecond)
+	for i := 0; i < 2; i++ {
+		a.Record(TokenPass(0, 3, 1, 1, 0, 0))
+	}
+	a.Record(SwitchComplete(0, 3, 1, 1, time.Millisecond))
+	b.Record(TokenPass(0, 0, 1, 1, 0, 0))
+	for i := 0; i < 5; i++ {
+		b.Record(TokenPass(0, 3, 1, 1, 0, 0))
+	}
+	b.Record(SwitchComplete(0, 3, 1, 1, 2*time.Millisecond))
 	a.Merge(b)
 	a.Merge(nil)
-	if got := a.Counter(3, KeyTokenPasses); got != 7 {
+	if got := a.Counter(3, EvTokenPass); got != 7 {
 		t.Errorf("merged counter = %d, want 7", got)
 	}
-	if h := a.Hist(3, KeySwitchDuration); h.Count() != 2 {
+	if h := a.SwitchDuration(3); h.Count() != 2 {
 		t.Errorf("merged histogram count = %d, want 2", h.Count())
 	}
 	snap := a.Snapshot()

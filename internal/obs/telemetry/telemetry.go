@@ -83,7 +83,7 @@ type Window struct {
 
 // memberAccum is the mutable per-member state of the open window.
 type memberAccum struct {
-	counters map[string]uint64
+	counts   obs.Counts
 	hist     obs.Histogram
 	depth    int64
 	sampled  bool
@@ -133,18 +133,14 @@ func (s *Sampler) Record(e obs.Event) {
 	s.Tick(e.At)
 	acc := s.open[e.Proc]
 	if acc == nil {
-		acc = &memberAccum{counters: make(map[string]uint64)}
+		acc = &memberAccum{}
 		s.open[e.Proc] = acc
 	}
-	if key := obs.CounterKey(e.Type); key != "" {
-		acc.counters[key]++
-		s.total.Add(e.Proc, key, 1)
-	}
+	acc.counts[e.Type]++
+	s.total.Record(e)
 	switch e.Type {
 	case obs.EvSwitchComplete:
-		d := time.Duration(e.Args[0])
-		acc.hist.Observe(d)
-		s.total.Observe(e.Proc, obs.KeySwitchDuration, d)
+		acc.hist.Observe(time.Duration(e.Args[0]))
 	case obs.EvQueueDepth:
 		acc.depth, acc.sampled = e.Args[0], true
 		s.depth[e.Proc] = e.Args[0]
@@ -210,10 +206,7 @@ func (s *Sampler) flush() {
 	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
 	for _, p := range procs {
 		acc := s.open[p]
-		mw := MemberWindow{Proc: int(p), QueueDepth: acc.depth, Suspects: acc.suspects}
-		if len(acc.counters) > 0 {
-			mw.Counters = acc.counters
-		}
+		mw := MemberWindow{Proc: int(p), Counters: acc.counts.Map(), QueueDepth: acc.depth, Suspects: acc.suspects}
 		if acc.hist.Count() > 0 {
 			hj := acc.hist.ToJSON()
 			mw.SwitchDur = &hj

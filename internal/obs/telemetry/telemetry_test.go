@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ func TestSamplerWindowsAndConsistency(t *testing.T) {
 	if len(ws[0].Members) != 2 || ws[0].Members[0].Proc != 1 || ws[0].Members[1].Proc != 2 {
 		t.Fatalf("window 0 members wrong: %+v", ws[0].Members)
 	}
-	if got := ws[0].Members[0].Counters[obs.KeyTokenPasses]; got != 2 {
+	if got := ws[0].Members[0].Counters[obs.CounterKey(obs.EvTokenPass)]; got != 2 {
 		t.Errorf("window 0 member 1 passes = %d", got)
 	}
 	if ws[1].Members[0].SwitchDur == nil || ws[1].Members[0].SwitchDur.Count != 1 {
@@ -44,21 +45,19 @@ func TestSamplerWindowsAndConsistency(t *testing.T) {
 	}
 
 	// Consistency: windowed sums reproduce the cumulative registry.
-	for _, p := range s.Metrics().Procs() {
+	for _, mm := range s.Metrics().Snapshot() {
 		sums := make(map[string]uint64)
 		for _, w := range ws {
 			for _, mw := range w.Members {
-				if mw.Proc == int(p) {
+				if mw.Proc == mm.Proc {
 					for k, v := range mw.Counters {
 						sums[k] += v
 					}
 				}
 			}
 		}
-		for k, v := range sums {
-			if got := s.Metrics().Counter(p, k); got != v {
-				t.Errorf("member %d key %s: cumulative %d != windowed sum %d", p, k, got, v)
-			}
+		if !reflect.DeepEqual(sums, mm.Counters) {
+			t.Errorf("member %d: cumulative %v != windowed sum %v", mm.Proc, mm.Counters, sums)
 		}
 	}
 }
@@ -123,8 +122,8 @@ func TestSamplerSuspectGaugeFalls(t *testing.T) {
 		t.Errorf("live suspect gauge = %d, want 0", s.SuspectCount(2))
 	}
 	// The clear counter landed in the cumulative registry like any
-	// other mirrored counter.
-	if got := s.Metrics().Counter(2, obs.KeySuspectsCleared); got != 2 {
+	// other counted event.
+	if got := s.Metrics().Counter(2, obs.EvSuspectCleared); got != 2 {
 		t.Errorf("suspects_cleared counter = %d, want 2", got)
 	}
 }
