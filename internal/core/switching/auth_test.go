@@ -126,9 +126,23 @@ func TestAuthCrossEpochReplayRejected(t *testing.T) {
 // TestAuthForgeryRejectedBeforeStateMutation: frames sealed under a
 // wrong key, an absent key (plain CRC envelope), and raw garbage are
 // all counted and dropped at the trust boundary; the forged body never
-// reaches any application and the ring keeps rotating.
+// reaches any application and the ring keeps rotating. With the
+// overload stage enabled too, the trust boundary sits below the ingress
+// queue: no forgery is admitted into it or shed from it.
 func TestAuthForgeryRejectedBeforeStateMutation(t *testing.T) {
+	for _, ovl := range []*switching.OverloadConfig{
+		nil,
+		{IngressQueueCap: 16, EgressQueueCap: 16, BatchMax: 4},
+	} {
+		t.Run(fmt.Sprintf("overload=%t", ovl != nil), func(t *testing.T) {
+			testAuthForgeryRejected(t, ovl)
+		})
+	}
+}
+
+func testAuthForgeryRejected(t *testing.T, ovl *switching.OverloadConfig) {
 	cfg := authConfig(0)
+	cfg.Overload = ovl
 	cfg.Defense.QuarantineThreshold = 5
 	var quarantined []ids.ProcID
 	cfg.Defense.OnQuarantine = func(p ids.ProcID) { quarantined = append(quarantined, p) }
@@ -179,6 +193,11 @@ func TestAuthForgeryRejectedBeforeStateMutation(t *testing.T) {
 	}
 	if stats.TokenPasses == 0 {
 		t.Error("ring stopped rotating under forgery")
+	}
+	// The test makes no application casts, so any ingress-queue traffic
+	// would be a forgery that crossed the trust boundary.
+	if acct := victim.Switch.OverloadAccounting(); acct.IngressAdmitted != 0 || acct.IngressShed != 0 {
+		t.Errorf("forgeries reached the ingress queue: admitted %d, shed %d", acct.IngressAdmitted, acct.IngressShed)
 	}
 	for p := range c.Members {
 		bodies, err := c.AppBodies(ids.ProcID(p))

@@ -10,13 +10,13 @@ import (
 )
 
 // This file is the egress frame batcher: the "one wire write per peer
-// per service tick" half of the zero-alloc hot path. It sits between
-// the multiplex and the envelope, so every mux frame generated within
-// one event-loop step — the overload layer draining several queued
-// casts in one service tick, a sub-protocol emitting data plus acks —
-// coalesces into a single sealed transport write per destination. In
-// auth mode that is the big win: one MAC per batch instead of one per
-// frame.
+// per service tick" half of the zero-alloc hot path. It is the down
+// half of the overload stage, above the envelope, so every mux frame
+// generated within one event-loop step — the overload layer draining
+// several queued casts in one service tick, a sub-protocol emitting
+// data plus acks — coalesces into a single sealed transport write per
+// destination. In auth mode that is the big win: one MAC per batch
+// instead of one per frame.
 //
 // Batch frame layout: [magic 0xB3][count uvarint][count × (len uvarint,
 // mux frame)]. The magic cannot collide with a mux channel header:
@@ -30,14 +30,16 @@ import (
 //     heartbeats bypass batching entirely and keep their legacy bytes:
 //     the switch state machine and the suspicion timeouts must never
 //     be reordered behind a data flush.
-//   - A flush never straddles a key roll: setSendEpoch and the
+//   - A flush never straddles a key roll: the send-epoch advance
+//     (overload.SetEpoch, ahead of the envelope's) and the envelope's
 //     maxAuthEpoch advance flush the pending batch first, so all
 //     frames in one batch were accumulated under one sealing epoch
 //     (the epoch-flush rule).
-//   - The receiver unpacks inside the trust boundary (after the
-//     envelope verified) and routes every inner frame through the same
-//     per-frame overload admission an unbatched arrival takes, so the
-//     conservation ledger still counts application frames one by one.
+//   - The receiver unpacks inside the trust boundary (the overload
+//     stage's up half, above the envelope) and routes every inner frame
+//     through the same per-frame admission an unbatched arrival takes,
+//     so the conservation ledger still counts application frames one
+//     by one.
 //
 // Determinism: accumulation order is event order, per-destination
 // groups flush in first-use order, and the flush point is env.After(0)
@@ -51,8 +53,8 @@ import (
 const batchMagic = 0xB3
 
 // batcher coalesces mux frames into batch frames per destination. It
-// implements proto.Down and wraps the sealing transport (or the raw
-// transport when Defense is nil).
+// implements proto.Down over the stage below the overload stage (the
+// envelope, or the raw transport when Defense is nil).
 type batcher struct {
 	s    *Switch
 	down proto.Down
@@ -94,8 +96,10 @@ func (a *batchAcc) reset() {
 	a.count = 0
 }
 
-func newBatcher(s *Switch, down proto.Down, max int) *batcher {
-	b := &batcher{s: s, down: down, max: max}
+// newBatcher builds a batcher; its down is wired when the overload
+// stage is initialized.
+func newBatcher(s *Switch, max int) *batcher {
+	b := &batcher{s: s, max: max}
 	b.flushFn = func() {
 		b.armed = false
 		b.flush()
@@ -103,19 +107,8 @@ func newBatcher(s *Switch, down proto.Down, max int) *batcher {
 	return b
 }
 
-// bypassBatch reports whether a mux frame must skip the batcher: the
-// token channel and failure-detector heartbeats keep their direct,
-// legacy-format path (frames whose channel header does not decode also
-// pass through — the receiving demultiplexer owns malformed
-// accounting).
-func bypassBatch(payload []byte) bool {
-	d := wire.NewDecoder(payload)
-	ch := d.Channel()
-	return d.Err() != nil || ch == ids.ControlChannel || ch == detectorChannel
-}
-
 func (b *batcher) Cast(payload []byte) error {
-	if bypassBatch(payload) {
+	if !dataFrame(payload) {
 		return b.down.Cast(payload)
 	}
 	b.cast.add(payload)
@@ -128,7 +121,7 @@ func (b *batcher) Cast(payload []byte) error {
 }
 
 func (b *batcher) Send(dst ids.ProcID, payload []byte) error {
-	if bypassBatch(payload) {
+	if !dataFrame(payload) {
 		return b.down.Send(dst, payload)
 	}
 	acc := b.accFor(dst)
@@ -167,11 +160,12 @@ func (b *batcher) arm() {
 
 // flush emits every pending batch: the broadcast group first, then the
 // per-peer groups in first-use order. Called from the arm timer, from
-// a full accumulator, and from the key-roll sites (setSendEpoch,
-// maxAuthEpoch advance) so a batch never straddles sealing epochs.
-// Flushing with nothing pending is a no-op.
+// a full accumulator, and from the key-roll sites (the send-epoch
+// advance, the maxAuthEpoch advance) so a batch never straddles sealing
+// epochs. Flushing with nothing pending, or a nil batcher (batching
+// off), is a no-op.
 func (b *batcher) flush() {
-	if b.s.stopped {
+	if b == nil || b.s.stopped {
 		return
 	}
 	if b.cast.count > 0 {
@@ -211,12 +205,13 @@ func isBatchFrame(pkt []byte) bool {
 	return len(pkt) > 0 && pkt[0] == batchMagic
 }
 
-// recvBatch validates and unpacks a batch frame, routing each inner
-// mux frame exactly as an unbatched arrival (per-frame overload
-// admission included). The structure is validated in full before any
-// frame is routed, so a corrupt batch is all-or-nothing: it is counted
-// malformed and dropped without partial delivery.
-func (s *Switch) recvBatch(src ids.ProcID, pkt []byte) {
+// recvBatch validates and unpacks a batch frame, admitting each inner
+// mux frame exactly as an unbatched arrival. The structure is validated
+// in full before any frame is admitted, so a corrupt batch is
+// all-or-nothing: it is counted malformed and dropped without partial
+// delivery.
+func (o *overload) recvBatch(src ids.ProcID, pkt []byte) {
+	s := o.s
 	body := pkt[1:]
 	count, off := binary.Uvarint(body)
 	// Each entry costs at least one length byte, so count can never
@@ -239,19 +234,15 @@ func (s *Switch) recvBatch(src ids.ProcID, pkt []byte) {
 		s.countMalformed(src, obs.MalformedDecode)
 		return
 	}
-	// Second pass: route. With the overload layer active the ingress
-	// queue retains frames past this callback, so own the whole batch
-	// body with a single copy and admit aliasing sub-slices — one
-	// allocation per batch instead of one per inner frame. Without the
-	// layer every frame is consumed synchronously and can alias pkt.
-	owned := s.ovl != nil
-	if owned {
-		body = append([]byte(nil), body...)
-	}
+	// Second pass: admit. The ingress queue retains frames past this
+	// callback, so own the whole batch body with a single copy and admit
+	// aliasing sub-slices — one allocation per batch instead of one per
+	// inner frame.
+	body = append([]byte(nil), body...)
 	for i := uint64(0); i < count; i++ {
 		ln, n := binary.Uvarint(body[off:])
 		off += n
-		s.recvFrame(src, body[off:off+int(ln)], owned)
+		o.admit(src, body[off:off+int(ln)], true)
 		off += int(ln)
 	}
 }

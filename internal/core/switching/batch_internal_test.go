@@ -14,9 +14,9 @@ import (
 
 // Unit tests for the egress batcher: coalescing, the control/heartbeat
 // bypass, the epoch-flush rule (a flush never straddles a key roll),
-// and the all-or-nothing receive-side unpack. These drive the batcher
-// directly with a minimal environment so the batch boundaries are
-// observable frame by frame.
+// and the all-or-nothing receive-side unpack. These drive the batcher,
+// or a bare transport pipeline, with a minimal environment so the batch
+// boundaries are observable frame by frame.
 
 type fakeTimer struct{}
 
@@ -109,9 +109,24 @@ func unpackBatch(t *testing.T, pkt []byte) [][]byte {
 
 func newTestBatcher(env *fakeEnv, down proto.Down, max int) (*Switch, *batcher) {
 	s := &Switch{env: env, obs: obs.OrNop(nil)}
-	b := newBatcher(s, down, max)
-	s.batch = b
+	b := newBatcher(s, max)
+	b.down = down
 	return s, b
+}
+
+// newTestPipeline builds a Switch with only its transport pipeline (the
+// stages New builds from cfg) over down — no control channel, protocols
+// or timers of its own, so the test drives every stage by hand.
+func newTestPipeline(t *testing.T, env *fakeEnv, cfg Config, down proto.Down) *Switch {
+	t.Helper()
+	if cfg.TokenInterval == 0 {
+		cfg.TokenInterval = time.Millisecond
+	}
+	s := &Switch{cfg: cfg, env: env, obs: obs.OrNop(nil)}
+	if err := s.buildPipeline(down); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestBatcherCoalesce(t *testing.T) {
@@ -195,59 +210,98 @@ func TestBatcherBypassesControlAndHeartbeats(t *testing.T) {
 	}
 }
 
+var testSessionKey = []byte("batch-test session key")
+
+// openSealed verifies one captured auth-envelope write and returns its
+// sealing epoch and the mux frames of the batch inside.
+func openSealed(t *testing.T, pkt []byte) (uint64, [][]byte) {
+	t.Helper()
+	epoch, err := wire.AuthEpoch(pkt)
+	if err != nil {
+		t.Fatalf("not an auth envelope: %x", pkt)
+	}
+	inner, err := wire.OpenAuth(wire.DeriveEpochKey(testSessionKey, epoch), pkt)
+	if err != nil {
+		t.Fatalf("write does not verify under its epoch %d: %v", epoch, err)
+	}
+	return epoch, unpackBatch(t, inner)
+}
+
 // TestBatcherEpochFlushRule pins the rule that a batch never straddles
-// a key roll: the flush that setSendEpoch (and the maxAuthEpoch
-// advance) performs before mutating the sealing epoch must emit the
-// pending frames as their own wire write, so frames accumulated before
-// the roll cannot coalesce with frames accumulated after it.
+// a key roll, at the two real roll sites of an auth + batching
+// pipeline: the send-epoch advance (setSendEpoch) and the verified-ahead
+// epoch advance (a frame arriving sealed under a newer epoch). Frames
+// accumulated before each roll must leave as their own wire write,
+// sealed under the old epoch, never coalesced with frames sealed after.
 func TestBatcherEpochFlushRule(t *testing.T) {
 	env := newFakeEnv(0, 3)
 	cap := &captureDown{}
-	_, b := newTestBatcher(env, cap, 8)
+	s := newTestPipeline(t, env, Config{
+		Overload: &OverloadConfig{IngressQueueCap: 16, EgressQueueCap: 16, BatchMax: 8},
+		Defense:  &DefenseConfig{QuarantineThreshold: 100, Auth: &AuthConfig{SessionKey: testSessionKey}},
+	}, cap)
 	ch := ids.ProtocolChannel(0)
+	port := s.mux.Port(ch)
 
-	pre1, pre2 := muxFrame(ch, "old-epoch-1"), muxFrame(ch, "old-epoch-2")
-	post := muxFrame(ch, "new-epoch")
-	_ = b.Cast(pre1)
-	_ = b.Cast(pre2)
-	b.flush() // what the key-roll sites do before changing the epoch
-	_ = b.Cast(post)
+	_ = port.Cast([]byte("epoch0-a"))
+	_ = port.Cast([]byte("epoch0-b"))
+	s.setSendEpoch(1) // send-epoch roll
+	_ = port.Cast([]byte("epoch1-a"))
+	env.run()
+	_ = port.Cast([]byte("epoch1-b"))
+	// A genuine frame from a member that already rolled to epoch 2: the
+	// verified MAC moves this member's sealing epoch ahead.
+	ahead := wire.SealAuth(wire.DeriveEpochKey(testSessionKey, 2), 2, muxFrame(ids.ControlChannel, "token"))
+	s.Recv(1, ahead)
+	_ = port.Cast([]byte("epoch2-a"))
 	env.run()
 
-	if len(cap.casts) != 2 {
-		t.Fatalf("got %d wire writes, want 2 (pre-roll batch, post-roll batch)", len(cap.casts))
+	want := []struct {
+		epoch  uint64
+		bodies []string
+	}{
+		{0, []string{"epoch0-a", "epoch0-b"}},
+		{1, []string{"epoch1-a"}},
+		{1, []string{"epoch1-b"}},
+		{2, []string{"epoch2-a"}},
 	}
-	gotPre := unpackBatch(t, cap.casts[0])
-	if len(gotPre) != 2 || !bytes.Equal(gotPre[0], pre1) || !bytes.Equal(gotPre[1], pre2) {
-		t.Fatalf("pre-roll batch mismatch: %q", gotPre)
+	if len(cap.casts) != len(want) {
+		t.Fatalf("got %d wire writes, want %d (one per sealing epoch run)", len(cap.casts), len(want))
 	}
-	gotPost := unpackBatch(t, cap.casts[1])
-	if len(gotPost) != 1 || !bytes.Equal(gotPost[0], post) {
-		t.Fatalf("post-roll batch mismatch: %q", gotPost)
+	for i, w := range want {
+		epoch, frames := openSealed(t, cap.casts[i])
+		if epoch != w.epoch {
+			t.Errorf("write %d sealed under epoch %d, want %d", i, epoch, w.epoch)
+		}
+		if len(frames) != len(w.bodies) {
+			t.Fatalf("write %d carries %d frames, want %d", i, len(frames), len(w.bodies))
+		}
+		for j, body := range w.bodies {
+			if !bytes.Equal(frames[j], muxFrame(ch, body)) {
+				t.Errorf("write %d frame %d = %q, want %q", i, j, frames[j], body)
+			}
+		}
 	}
 }
 
-// recvHarness builds a Switch wired just enough to exercise recvBatch:
-// a multiplex with one bound channel recording deliveries.
-func recvHarness(t *testing.T) (*Switch, *[][]byte) {
+// recvHarness builds a Switch whose pipeline has the overload stage with
+// batching, over a multiplex with one bound channel recording
+// deliveries. Admitted frames sit in the ingress queue until env.run.
+func recvHarness(t *testing.T) (*Switch, *fakeEnv, *[][]byte) {
 	t.Helper()
 	env := newFakeEnv(0, 3)
-	mux, err := NewMultiplex(&captureDown{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestPipeline(t, env, Config{
+		Overload: &OverloadConfig{IngressQueueCap: 16, EgressQueueCap: 16, BatchMax: 8},
+	}, &captureDown{})
 	var delivered [][]byte
-	ch := ids.ProtocolChannel(0)
-	mux.Bind(ch, proto.UpFunc(func(src ids.ProcID, payload []byte) {
+	s.mux.Bind(ids.ProtocolChannel(0), proto.UpFunc(func(src ids.ProcID, payload []byte) {
 		delivered = append(delivered, append([]byte(nil), payload...))
 	}))
-	s := &Switch{env: env, obs: obs.OrNop(nil), mux: mux}
-	s.batch = newBatcher(s, &captureDown{}, 8)
-	return s, &delivered
+	return s, env, &delivered
 }
 
 func TestRecvBatchRoundTrip(t *testing.T) {
-	s, delivered := recvHarness(t)
+	s, env, delivered := recvHarness(t)
 	ch := ids.ProtocolChannel(0)
 
 	var acc batchAcc
@@ -257,6 +311,7 @@ func TestRecvBatchRoundTrip(t *testing.T) {
 	pkt := appendBatch(nil, &acc)
 
 	s.Recv(1, pkt)
+	env.run()
 	if len(*delivered) != 3 {
 		t.Fatalf("delivered %d inner frames, want 3", len(*delivered))
 	}
@@ -295,8 +350,9 @@ func TestRecvBatchAllOrNothing(t *testing.T) {
 		{"trailing garbage", append(append([]byte(nil), good...), 0xFF)},
 	}
 	for _, tc := range cases {
-		s, delivered := recvHarness(t)
+		s, env, delivered := recvHarness(t)
 		s.Recv(1, tc.pkt)
+		env.run()
 		if len(*delivered) != 0 {
 			t.Errorf("%s: delivered %d frames from a corrupt batch, want 0", tc.name, len(*delivered))
 		}

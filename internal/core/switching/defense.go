@@ -79,31 +79,6 @@ func (c DefenseConfig) Validate() error {
 	return nil
 }
 
-// sealedTransport wraps the real transport, sealing every outgoing
-// packet in the integrity envelope. It sits below the multiplex, so one
-// envelope covers the mux header and everything above it.
-type sealedTransport struct {
-	down proto.Down
-}
-
-func (t sealedTransport) Cast(payload []byte) error {
-	bp := wire.GetBuf()
-	pkt := wire.SealTo(*bp, payload)
-	err := t.down.Cast(pkt)
-	*bp = pkt[:0]
-	wire.PutBuf(bp)
-	return err
-}
-
-func (t sealedTransport) Send(dst ids.ProcID, payload []byte) error {
-	bp := wire.GetBuf()
-	pkt := wire.SealTo(*bp, payload)
-	err := t.down.Send(dst, pkt)
-	*bp = pkt[:0]
-	wire.PutBuf(bp)
-	return err
-}
-
 // countMalformed records a defensively-dropped message apparently from
 // src and, with Defense enabled, advances src toward quarantine. It is
 // called from every ingress rejection site — envelope failures, token
@@ -166,127 +141,191 @@ func (s *Switch) MalformedFrom(p ids.ProcID) uint64 { return s.malformedBy[p] }
 // authentication at this member (quarantine progress).
 func (s *Switch) AuthFailedFrom(p ids.ProcID) uint64 { return s.authFailedBy[p] }
 
-// authTransport wraps the real transport, sealing every outgoing packet
-// in the authenticated envelope under the owner's current send-epoch
-// key. It sits below the multiplex, so one MAC covers the mux header
-// and everything above it. Because it consults the Switch at seal time,
-// FIFO retransmissions — which re-traverse the transport — are re-
-// sealed under the key current at retransmission, keeping repair
-// traffic inside the receiver's acceptance window.
-type authTransport struct {
+// envelope is the lowest transport stage: it seals every outgoing
+// packet and verifies and strips every incoming one, so one envelope
+// covers the mux header and everything above it, and nothing unverified
+// is queued, batched or demultiplexed. Integrity mode (auth nil) uses
+// wire's CRC envelope; auth mode MACs each frame under the current
+// epoch's key. Because sealing happens here at write time, FIFO
+// retransmissions — which re-traverse the stage — are re-sealed under
+// the key current at retransmission, keeping repair traffic inside the
+// receiver's acceptance window.
+type envelope struct {
 	s    *Switch
 	down proto.Down
+	up   proto.Up
+	auth *AuthConfig
+
+	// batch is the overload stage's batcher, flushed before the sealing
+	// epoch moves (the epoch-flush rule); nil without batching.
+	batch *batcher
+
+	// The auth key schedule. sealers memoizes the per-epoch sealer —
+	// derived key plus cached keyed HMAC — so steady-state sealing and
+	// opening allocate nothing. epoch is the send epoch (SetEpoch),
+	// rolledAt when it last advanced: the start of the grace window
+	// during which the previous epoch's key is still accepted.
+	sealers  map[uint64]*wire.AuthSealer
+	epoch    uint64
+	rolledAt time.Duration
+	grace    time.Duration
+	// maxAuthEpoch is the newest epoch this member has verified a MAC
+	// under. A member that missed a switch round (partitioned, say)
+	// seals its egress under this instead of its own lagging send epoch:
+	// the verified MAC is unforgeable evidence the group rolled, and
+	// sealing under the retired key would get every frame it sends —
+	// heartbeats included — rejected by the advanced majority, leaving
+	// it permanently suspected and unable to rejoin.
+	maxAuthEpoch uint64
 }
 
-func (t authTransport) Cast(payload []byte) error {
+func newEnvelope(s *Switch, d DefenseConfig, batch *batcher) *envelope {
+	e := &envelope{s: s, auth: d.Auth, batch: batch}
+	if d.Auth != nil {
+		e.sealers = make(map[uint64]*wire.AuthSealer)
+		e.grace = d.Auth.Grace
+		if e.grace == 0 {
+			e.grace = 10 * s.cfg.TokenInterval
+		}
+	}
+	return e
+}
+
+func (e *envelope) Init(_ proto.Env, down proto.Down, up proto.Up) error {
+	e.down, e.up = down, up
+	return nil
+}
+
+func (e *envelope) Stop() {}
+
+func (e *envelope) Cast(payload []byte) error {
 	bp := wire.GetBuf()
-	pkt := t.s.sealCurrentTo(*bp, payload)
-	err := t.down.Cast(pkt)
+	pkt := e.seal(*bp, payload)
+	err := e.down.Cast(pkt)
 	*bp = pkt[:0]
 	wire.PutBuf(bp)
 	return err
 }
 
-func (t authTransport) Send(dst ids.ProcID, payload []byte) error {
+func (e *envelope) Send(dst ids.ProcID, payload []byte) error {
 	bp := wire.GetBuf()
-	pkt := t.s.sealCurrentTo(*bp, payload)
-	err := t.down.Send(dst, pkt)
+	pkt := e.seal(*bp, payload)
+	err := e.down.Send(dst, pkt)
 	*bp = pkt[:0]
 	wire.PutBuf(bp)
 	return err
 }
 
-// sealCurrentTo appends payload sealed under the current send epoch's
-// key — or the newest authenticated epoch this member has witnessed,
-// when that is ahead (a lagging member sealing under its retired epoch
-// would be rejected by everyone who completed the switch, wedging it
-// out of the group; see maxAuthEpoch).
-func (s *Switch) sealCurrentTo(dst, payload []byte) []byte {
-	epoch := s.sendEpoch
-	if s.maxAuthEpoch > epoch {
-		epoch = s.maxAuthEpoch
+// seal appends payload in the envelope: in auth mode under the send
+// epoch's key — or the newest authenticated epoch this member has
+// witnessed, when that is ahead (see maxAuthEpoch).
+func (e *envelope) seal(dst, payload []byte) []byte {
+	if e.auth == nil {
+		return wire.SealTo(dst, payload)
 	}
-	return s.epochSealer(epoch).SealTo(dst, payload)
+	epoch := max(e.epoch, e.maxAuthEpoch)
+	a, cached := e.sealer(epoch)
+	if !cached {
+		e.sealers[epoch] = a
+	}
+	return a.SealTo(dst, payload)
 }
 
-// epochSealer returns the cached sealer (derived key + keyed HMAC +
-// precomputed header) for an epoch, memoized. The schedule is pruned as
-// epochs retire (see rollEpochKey); verification of a from-ahead frame
-// may derive and cache a future epoch's sealer early, which is
-// harmless — derivation is deterministic.
-func (s *Switch) epochSealer(epoch uint64) *wire.AuthSealer {
-	if a, ok := s.epochSealers[epoch]; ok {
-		return a
+// sealer returns the memoized sealer for an epoch, or derives a fresh
+// one without caching it. The caller memoizes a fresh sealer only once
+// it sealed a frame or verified a MAC: the epoch an arriving frame
+// claims is untrusted until its MAC verifies, so caching before the
+// check would let forged frames with distinct future epochs grow the
+// schedule without bound.
+func (e *envelope) sealer(epoch uint64) (a *wire.AuthSealer, cached bool) {
+	if a, ok := e.sealers[epoch]; ok {
+		return a, true
 	}
-	if s.epochSealers == nil {
-		s.epochSealers = make(map[uint64]*wire.AuthSealer)
-	}
-	a := wire.NewAuthSealer(wire.DeriveEpochKey(s.cfg.Defense.Auth.SessionKey, epoch), epoch)
-	s.epochSealers[epoch] = a
-	return a
+	return wire.NewAuthSealer(wire.DeriveEpochKey(e.auth.SessionKey, epoch), epoch), false
 }
 
-// rollEpochKey records the moment the send epoch advanced — opening the
-// grace window for the previous epoch — and prunes retired sealers from
-// the schedule. Called from every site that advances sendEpoch, so the
-// key schedule rolls atomically with the switch round.
-func (s *Switch) rollEpochKey() {
-	if s.cfg.Defense == nil || s.cfg.Defense.Auth == nil {
+// SetEpoch is the key roll, called with every send-epoch advance after
+// the stages above flushed: it opens the grace window for the previous
+// epoch and prunes retired sealers from the schedule.
+func (e *envelope) SetEpoch(epoch uint64) {
+	e.epoch = epoch
+	if e.auth == nil {
 		return
 	}
-	s.keyRolledAt = s.env.Now()
-	for e := range s.epochSealers {
-		if e+1 < s.sendEpoch {
-			delete(s.epochSealers, e)
+	e.rolledAt = e.s.env.Now()
+	for ep := range e.sealers {
+		if ep+1 < epoch {
+			delete(e.sealers, ep)
 		}
 	}
 }
 
-// epochAcceptable implements the receive-side acceptance window for
-// authenticated frames. Frames at or ahead of the local send epoch are
-// always acceptable (an attacker without the session key cannot forge
-// any epoch, and from-ahead frames are how lagging members catch up);
-// the previous epoch is acceptable only while the grace window that
-// opened at the local key roll is still running. Everything older is a
-// cross-epoch replay.
-func (s *Switch) epochAcceptable(epoch uint64) bool {
-	if epoch >= s.sendEpoch {
-		return true
+// Recv verifies and strips the envelope and passes the payload up; a
+// packet that fails is counted and dropped before any stage above sees
+// it.
+func (e *envelope) Recv(src ids.ProcID, pkt []byte) {
+	if e.auth != nil {
+		if payload, ok := e.openAuth(src, pkt); ok {
+			e.up.Deliver(src, payload)
+		}
+		return
 	}
-	if epoch+1 == s.sendEpoch {
-		return s.env.Now()-s.keyRolledAt <= s.authGrace
+	payload, err := wire.Open(pkt)
+	if err != nil {
+		reason := obs.MalformedFrame
+		if err == wire.ErrChecksum {
+			reason = obs.MalformedChecksum
+		}
+		e.s.countMalformed(src, reason)
+		return
 	}
-	return false
+	e.up.Deliver(src, payload)
 }
 
-// recvAuth verifies and strips the authenticated envelope, or counts
-// and drops. Returns the inner payload and true on acceptance.
-func (s *Switch) recvAuth(src ids.ProcID, pkt []byte) ([]byte, bool) {
+func (e *envelope) openAuth(src ids.ProcID, pkt []byte) ([]byte, bool) {
 	epoch, err := wire.AuthEpoch(pkt)
 	if err != nil {
-		s.countAuthFailed(src, 0, obs.AuthBadFrame)
+		e.s.countAuthFailed(src, 0, obs.AuthBadFrame)
 		return nil, false
 	}
 	// Reject retired epochs before verifying: the stale check needs no
 	// crypto, and skipping verification means a replayed frame's key is
 	// never even derived.
-	if !s.epochAcceptable(epoch) {
-		s.countAuthFailed(src, epoch, obs.AuthStaleEpoch)
+	if !e.acceptable(epoch) {
+		e.s.countAuthFailed(src, epoch, obs.AuthStaleEpoch)
 		return nil, false
 	}
-	payload, err := s.epochSealer(epoch).Open(pkt)
+	a, cached := e.sealer(epoch)
+	payload, err := a.Open(pkt)
 	if err != nil {
-		s.countAuthFailed(src, epoch, obs.AuthBadMAC)
+		e.s.countAuthFailed(src, epoch, obs.AuthBadMAC)
 		return nil, false
 	}
-	if epoch > s.maxAuthEpoch {
+	if !cached {
+		e.sealers[epoch] = a
+	}
+	if epoch > e.maxAuthEpoch {
 		// The group provably rolled past this member's send epoch: flush
 		// any batch accumulated under the old sealing epoch before egress
 		// starts sealing under the new one.
-		if s.batch != nil {
-			s.batch.flush()
-		}
-		s.maxAuthEpoch = epoch
+		e.batch.flush()
+		e.maxAuthEpoch = epoch
 	}
 	return payload, true
+}
+
+// acceptable implements the receive-side acceptance window. Frames at
+// or ahead of the send epoch are always acceptable (an attacker without
+// the session key cannot forge any epoch, and from-ahead frames are how
+// lagging members catch up); the previous epoch is acceptable only
+// while the grace window that opened at the key roll is still running.
+// Everything older is a cross-epoch replay.
+func (e *envelope) acceptable(epoch uint64) bool {
+	if epoch >= e.epoch {
+		return true
+	}
+	if epoch+1 == e.epoch {
+		return e.s.env.Now()-e.rolledAt <= e.grace
+	}
+	return false
 }

@@ -176,10 +176,17 @@ type egressEntry struct {
 	epoch uint64
 }
 
-// overload is one member's overload-protection state.
+// overload is one member's overload-protection stage, directly below
+// the multiplex. Its down half is the batcher (BatchMax > 1) or a
+// passthrough; its up half unpacks batches and admits data frames into
+// the ingress queues. The egress cast queue serves Switch.Cast.
 type overload struct {
 	s   *Switch
 	cfg OverloadConfig
+
+	down  proto.Down // the batcher, or the stage below without batching
+	up    proto.Up
+	batch *batcher
 
 	// ingress holds per-peer bounded queues of verified mux frames;
 	// service is one frame per interval, round-robin in ring order
@@ -236,10 +243,16 @@ func newOverload(s *Switch, cfg OverloadConfig) (*overload, error) {
 		return nil, fmt.Errorf("switching: overload low watermark %d must be below high watermark %d",
 			cfg.LowWatermark, cfg.HighWatermark)
 	}
+	if cfg.BatchMax < 1 {
+		cfg.BatchMax = 1
+	}
 	o := &overload{
 		s:       s,
 		cfg:     cfg,
 		ingress: make(map[ids.ProcID]*ingressQ),
+	}
+	if cfg.BatchMax > 1 {
+		o.batch = newBatcher(s, cfg.BatchMax)
 	}
 	o.serveFn = o.serveIngress
 	o.drainFn = o.drainEgress
@@ -248,7 +261,25 @@ func newOverload(s *Switch, cfg OverloadConfig) (*overload, error) {
 	return o, nil
 }
 
-func (o *overload) stop() {
+func (o *overload) Init(_ proto.Env, down proto.Down, up proto.Up) error {
+	o.down, o.up = down, up
+	if o.batch != nil {
+		o.batch.down = down
+		o.down = o.batch
+	}
+	return nil
+}
+
+func (o *overload) Cast(payload []byte) error { return o.down.Cast(payload) }
+
+func (o *overload) Send(dst ids.ProcID, payload []byte) error { return o.down.Send(dst, payload) }
+
+// SetEpoch flushes the pending batch before the stage below rolls its
+// sealing epoch, so frames accumulated under the old epoch go out under
+// it and never coalesce with frames sealed after the roll.
+func (o *overload) SetEpoch(uint64) { o.batch.flush() }
+
+func (o *overload) Stop() {
 	if o.ingressTimer != nil {
 		o.ingressTimer.Stop()
 	}
@@ -272,20 +303,36 @@ func (o *overload) shed(peer ids.ProcID, reason int64, depth int) {
 
 // --- ingress ---
 
-// admitIngress classifies one verified transport frame. It returns
-// false for frames the overload layer must never touch — the token
-// channel and failure-detector heartbeats, which keep their direct
-// path — and for frames whose channel header does not decode (the
-// demultiplexer owns malformed accounting). Everything else is consumed:
-// queued under its sender, or shed drop-newest at the cap. owned tells
-// the layer the frame's bytes already outlive the network callback
-// (recvBatch copies a whole batch body once and admits aliasing
-// sub-slices); otherwise the queue takes its own copy.
-func (o *overload) admitIngress(src ids.ProcID, pkt []byte, owned bool) bool {
+// Recv takes one verified transport payload: a batch frame is
+// unpacked, anything else admitted as a single mux frame.
+func (o *overload) Recv(src ids.ProcID, pkt []byte) {
+	if o.batch != nil && isBatchFrame(pkt) {
+		o.recvBatch(src, pkt)
+		return
+	}
+	o.admit(src, pkt, false)
+}
+
+// dataFrame reports whether a mux frame is data the overload stage
+// queues and batches. The token channel and failure-detector heartbeats
+// keep their direct, unqueued and unbatched path, and so do frames whose
+// channel header does not decode: the demultiplexer owns malformed
+// accounting.
+func dataFrame(pkt []byte) bool {
 	d := wire.NewDecoder(pkt)
 	ch := d.Channel()
-	if d.Err() != nil || ch == ids.ControlChannel || ch == detectorChannel {
-		return false
+	return d.Err() == nil && ch != ids.ControlChannel && ch != detectorChannel
+}
+
+// admit passes a non-data frame straight up and queues a data frame
+// under its sender, shedding it drop-newest at the cap. owned tells the
+// stage the frame's bytes already outlive the network callback
+// (recvBatch copies a whole batch body once and admits aliasing
+// sub-slices); otherwise the queue takes its own copy.
+func (o *overload) admit(src ids.ProcID, pkt []byte, owned bool) {
+	if !dataFrame(pkt) {
+		o.up.Deliver(src, pkt)
+		return
 	}
 	q := o.ingress[src]
 	if q == nil {
@@ -295,7 +342,7 @@ func (o *overload) admitIngress(src ids.ProcID, pkt []byte, owned bool) bool {
 	if q.depth() >= o.cfg.IngressQueueCap {
 		o.acct.IngressShed++
 		o.shed(src, obs.ShedIngress, q.depth())
-		return true
+		return
 	}
 	// Own the bytes: the frame outlives the network callback.
 	if !owned {
@@ -307,7 +354,6 @@ func (o *overload) admitIngress(src ids.ProcID, pkt []byte, owned bool) bool {
 		o.acct.IngressMaxDepth = d
 	}
 	o.armIngress()
-	return true
 }
 
 func (o *overload) armIngress() {
@@ -318,7 +364,7 @@ func (o *overload) armIngress() {
 	o.ingressTimer = o.s.env.After(o.cfg.ServiceInterval, o.serveFn)
 }
 
-// serveIngress hands queued frames to the demultiplexer, round-robin
+// serveIngress hands queued frames up to the demultiplexer, round-robin
 // over the ring order, then re-arms while work remains: one frame per
 // service tick in the legacy configuration, up to BatchMax per tick
 // with batching enabled — the ingress mirror of drainEgress's
@@ -332,15 +378,11 @@ func (o *overload) serveIngress() {
 	if s.stopped {
 		return
 	}
-	max := o.cfg.BatchMax
-	if max < 1 {
-		max = 1
-	}
 	if o.members == nil {
 		o.members = s.env.Ring().Members()
 	}
 	members := o.members
-	for n := 0; n < max && !s.stopped; n++ {
+	for n := 0; n < o.cfg.BatchMax && !s.stopped; n++ {
 		served := false
 		for range members {
 			p := members[o.serveIdx%len(members)]
@@ -351,7 +393,7 @@ func (o *overload) serveIngress() {
 			}
 			pkt := q.pop()
 			o.acct.IngressServed++
-			s.mux.Recv(p, pkt)
+			o.up.Deliver(p, pkt)
 			served = true
 			break
 		}
@@ -435,12 +477,8 @@ func (o *overload) drainEgress() {
 	if s.stopped || len(o.egress) == 0 {
 		return
 	}
-	max := o.cfg.BatchMax
-	if max < 1 {
-		max = 1
-	}
 	epoch := o.egress[0].epoch
-	for n := 0; n < max && len(o.egress) > 0 && o.egress[0].epoch == epoch; n++ {
+	for n := 0; n < o.cfg.BatchMax && len(o.egress) > 0 && o.egress[0].epoch == epoch; n++ {
 		ent := o.egress[0]
 		o.egress = o.egress[1:]
 		o.acct.EgressSent++

@@ -232,10 +232,11 @@ func (s *Stats) Add(o Stats) {
 // application talks only to the Switch (the SP is transparent, §1); the
 // Switch talks to its sub-protocols over private multiplex channels.
 type Switch struct {
-	cfg Config
-	env proto.Env
-	app proto.Up
-	mux *Multiplex
+	cfg  Config
+	env  proto.Env
+	app  proto.Up
+	mux  *Multiplex
+	pipe *proto.Stack // transport stages below the mux (buildPipeline)
 
 	ctl    *proto.Stack   // control channel (token transport)
 	protos []*proto.Stack // sub-protocol stacks, one per factory
@@ -282,24 +283,6 @@ type Switch struct {
 	// advances the same quarantine progress as malformedBy (allocated
 	// lazily; nil unless Defense.Auth is set and a failure occurred).
 	authFailedBy map[ids.ProcID]uint64
-	// epochSealers memoizes the per-epoch authenticated sealer — derived
-	// key plus cached keyed HMAC — so steady-state sealing and opening
-	// allocate nothing (auth mode).
-	epochSealers map[uint64]*wire.AuthSealer
-	// keyRolledAt is when sendEpoch last advanced — the start of the
-	// grace window during which the previous epoch's key is still
-	// accepted on ingress.
-	keyRolledAt time.Duration
-	// authGrace is Defense.Auth.Grace normalized to its default.
-	authGrace time.Duration
-	// maxAuthEpoch is the newest epoch this member has verified a MAC
-	// under. A member that missed a switch round (partitioned, say)
-	// seals its egress under this instead of its own lagging sendEpoch:
-	// the verified MAC is unforgeable evidence the group rolled, and
-	// sealing under the retired key would get every frame it sends —
-	// heartbeats included — rejected by the advanced majority, leaving
-	// it permanently suspected and unable to rejoin.
-	maxAuthEpoch uint64
 	// obs is Config.Recorder normalized to non-nil (obs.Nop default).
 	obs obs.Recorder
 
@@ -307,14 +290,9 @@ type Switch struct {
 	// set, in which case the §2 protocol runs unmodified.
 	rec *recovery
 
-	// ovl is the overload-protection state; nil unless Config.Overload
+	// ovl is the overload-protection stage; nil unless Config.Overload
 	// is set, in which case the message path is unqueued and unpaced.
 	ovl *overload
-
-	// batch is the egress frame batcher; nil unless
-	// Config.Overload.BatchMax > 1, in which case every frame is its own
-	// wire write (the legacy format).
-	batch *batcher
 }
 
 type bufEntry struct {
@@ -343,58 +321,31 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 		buffer: make(map[uint64][]bufEntry),
 		obs:    obs.OrNop(cfg.Recorder),
 	}
-	if cfg.Defense != nil {
-		// Seal below the multiplex: one envelope covers the mux header
-		// and every protocol header above it.
-		if cfg.Defense.Auth != nil {
-			s.authGrace = cfg.Defense.Auth.Grace
-			if s.authGrace == 0 {
-				s.authGrace = 10 * cfg.TokenInterval
-			}
-			transport = authTransport{s: s, down: transport}
-		} else {
-			transport = sealedTransport{down: transport}
-		}
-	}
-	if cfg.Overload != nil && cfg.Overload.BatchMax > 1 {
-		// Batch between the multiplex and the envelope: one sealed wire
-		// write carries up to BatchMax mux frames per destination per
-		// event, and in auth mode the whole batch costs one MAC. Must be
-		// enabled uniformly across the group (like the session key) — an
-		// unbatched receiver sees batch frames as malformed.
-		s.batch = newBatcher(s, transport, cfg.Overload.BatchMax)
-		transport = s.batch
-	}
-	mux, err := NewMultiplex(transport)
-	if err != nil {
+	if err := s.buildPipeline(transport); err != nil {
 		return nil, err
-	}
-	s.mux = mux
-	mux.onMalformed = func(src ids.ProcID) {
-		s.countMalformed(src, obs.MalformedDecode)
 	}
 	// Control channel: the token rides a private reliable channel.
 	ctl, err := proto.Build(env,
 		proto.UpFunc(s.onControl),
-		mux.Port(ids.ControlChannel),
+		s.mux.Port(ids.ControlChannel),
 		fifo.New(cfg.Control))
 	if err != nil {
 		return nil, fmt.Errorf("switching: control stack: %w", err)
 	}
 	s.ctl = ctl
-	mux.Bind(ids.ControlChannel, proto.UpFunc(ctl.Recv))
+	s.mux.Bind(ids.ControlChannel, proto.UpFunc(ctl.Recv))
 	// Sub-protocol stacks, each on its private channel.
 	for i, factory := range cfg.Protocols {
 		ch := ids.ProtocolChannel(i)
 		stack, err := proto.Build(env,
 			proto.UpFunc(s.onData),
-			mux.Port(ch),
+			s.mux.Port(ch),
 			factory(env)...)
 		if err != nil {
 			return nil, fmt.Errorf("switching: protocol %d stack: %w", i, err)
 		}
 		s.protos = append(s.protos, stack)
-		mux.Bind(ch, proto.UpFunc(stack.Recv))
+		s.mux.Bind(ch, proto.UpFunc(stack.Recv))
 	}
 	if cfg.Recovery != nil {
 		rec, err := newRecovery(s, *cfg.Recovery)
@@ -402,13 +353,6 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 			return nil, err
 		}
 		s.rec = rec
-	}
-	if cfg.Overload != nil {
-		ovl, err := newOverload(s, *cfg.Overload)
-		if err != nil {
-			return nil, err
-		}
-		s.ovl = ovl
 	}
 	// The first ring member injects the NORMAL token.
 	if env.Self() == env.Ring().Members()[0] {
@@ -422,56 +366,44 @@ func New(env proto.Env, app proto.Up, transport proto.Down, cfg Config) (*Switch
 	return s, nil
 }
 
-// Recv routes an incoming transport packet; bind the node's network
-// handler here. With Defense enabled the envelope is verified and
-// stripped first — the authenticated envelope when Defense.Auth is set,
-// the integrity envelope otherwise: a packet that fails the check is
-// counted and dropped before any protocol layer sees it.
-func (s *Switch) Recv(src ids.ProcID, pkt []byte) {
-	if d := s.cfg.Defense; d != nil {
-		if d.Auth != nil {
-			payload, ok := s.recvAuth(src, pkt)
-			if !ok {
-				return
-			}
-			pkt = payload
-		} else {
-			payload, err := wire.Open(pkt)
-			if err != nil {
-				reason := obs.MalformedFrame
-				if err == wire.ErrChecksum {
-					reason = obs.MalformedChecksum
-				}
-				s.countMalformed(src, reason)
-				return
-			}
-			pkt = payload
+// buildPipeline stacks the transport stages below the multiplex, top
+// first — the one place their order is written. The envelope is lowest,
+// so nothing unverified is queued, batched or demultiplexed; batching
+// sits inside it, so a batch costs one envelope (one MAC in auth mode).
+// A stage is present only when its Config field is set; with neither,
+// the pipeline is a passthrough — the paper's path (DESIGN §8).
+func (s *Switch) buildPipeline(transport proto.Down) error {
+	var stages []proto.Layer
+	var batch *batcher
+	if cfg := s.cfg.Overload; cfg != nil {
+		ovl, err := newOverload(s, *cfg)
+		if err != nil {
+			return err
 		}
+		s.ovl, batch = ovl, ovl.batch
+		stages = append(stages, ovl)
 	}
-	// A batch frame (one envelope, many mux frames) is unpacked here —
-	// inside the trust boundary, after the envelope verified — and each
-	// inner frame takes the same path an unbatched arrival would,
-	// including per-frame overload admission, so the conservation ledger
-	// counts every application frame individually.
-	if s.batch != nil && isBatchFrame(pkt) {
-		s.recvBatch(src, pkt)
-		return
+	if cfg := s.cfg.Defense; cfg != nil {
+		stages = append(stages, newEnvelope(s, *cfg, batch))
 	}
-	s.recvFrame(src, pkt, false)
+	s.mux = &Multiplex{ups: make(map[ids.ChannelID]proto.Up)}
+	s.mux.onMalformed = func(src ids.ProcID) {
+		s.countMalformed(src, obs.MalformedDecode)
+	}
+	pipe, err := proto.Build(s.env, proto.UpFunc(s.mux.Recv), transport, stages...)
+	if err != nil {
+		return fmt.Errorf("switching: transport pipeline: %w", err)
+	}
+	s.mux.down, s.pipe = pipe, pipe
+	return nil
 }
 
-// recvFrame routes one verified, unbatched mux frame. The overload
-// layer consumes data frames (queueing or shedding them); token and
-// heartbeat frames keep their direct path. owned marks frames whose
-// bytes already survive this callback (see admitIngress).
-func (s *Switch) recvFrame(src ids.ProcID, pkt []byte, owned bool) {
-	if s.ovl != nil && s.ovl.admitIngress(src, pkt, owned) {
-		return
-	}
-	s.mux.Recv(src, pkt)
-}
+// Recv routes an incoming transport packet up the pipeline; bind the
+// node's network handler here. A packet that fails the envelope check
+// is counted and dropped before any protocol layer sees it.
+func (s *Switch) Recv(src ids.ProcID, pkt []byte) { s.pipe.Recv(src, pkt) }
 
-// Stop shuts down the switch and its sub-stacks.
+// Stop shuts down the switch, its transport pipeline and its sub-stacks.
 func (s *Switch) Stop() {
 	s.stopped = true
 	if s.timer != nil {
@@ -480,9 +412,7 @@ func (s *Switch) Stop() {
 	if s.rec != nil {
 		s.rec.stop()
 	}
-	if s.ovl != nil {
-		s.ovl.stop()
-	}
+	s.pipe.Stop()
 	s.ctl.Stop()
 	for _, p := range s.protos {
 		p.Stop()
@@ -770,24 +700,18 @@ func (s *Switch) onToken(t Token) {
 	}
 }
 
-// setSendEpoch advances the epoch new sends go to. This is the atomic
-// key-roll point of the authenticated session: outgoing frames seal
-// under the new epoch's derived key from this instant, the grace window
-// for the previous epoch's key opens (rollEpochKey), and every
-// epoch-aware sub-layer is told the new epoch so per-epoch MAC keys and
-// replay windows roll with the switch round instead of resetting.
+// setSendEpoch advances the epoch new sends go to — the atomic key-roll
+// point of the authenticated session. The pipeline flushes any pending
+// batch under the old sealing epoch (the epoch-flush rule, DESIGN §9),
+// then the envelope rolls its key and opens the grace window; every
+// epoch-aware sub-layer is told too, so per-epoch MAC keys and replay
+// windows roll with the switch round instead of resetting.
 func (s *Switch) setSendEpoch(epoch uint64) {
-	// Flush any pending batch first: frames accumulated under the old
-	// sealing epoch must go out under it, never coalesce with frames
-	// sealed after the roll (the epoch-flush rule, DESIGN §9).
-	if s.batch != nil {
-		s.batch.flush()
-	}
+	s.pipe.SetEpoch(epoch)
 	s.sendEpoch = epoch
 	for _, p := range s.protos {
 		p.SetEpoch(epoch)
 	}
-	s.rollEpochKey()
 }
 
 // applyPrepare redirects sending to the new epoch (first PREPARE for the
