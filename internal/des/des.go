@@ -12,7 +12,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -22,8 +21,9 @@ import (
 // concurrent use: all handlers run on the caller's goroutine, one at a
 // time, which is precisely what makes executions deterministic.
 type Sim struct {
-	now    time.Duration
-	queue  eventHeap
+	now time.Duration
+	// queue is a 4-ary min-heap on (when, id) of value entries.
+	queue  []entry
 	nextID uint64
 	rng    *rand.Rand
 	// executed counts handler invocations, for run-away detection and
@@ -40,8 +40,14 @@ type Sim struct {
 // New returns a simulator whose random stream is derived from seed.
 // Equal seeds give byte-identical executions.
 func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	return &Sim{rng: rand.New(rand.NewSource(seed)), queue: make([]entry, 0, initialQueueCap)}
 }
+
+// initialQueueCap is the queue capacity a new simulator reserves. A
+// 10-member group arms 90-155 timers before its first event; growing
+// the queue to that size from empty would allocate about twice as much,
+// all of it garbage.
+const initialQueueCap = 160
 
 // Now returns the current virtual time (zero at construction).
 func (s *Sim) Now() time.Duration { return s.now }
@@ -54,15 +60,34 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Executed returns the number of events executed so far.
 func (s *Sim) Executed() uint64 { return s.executed }
 
+// Event is a handle-free scheduled event, for the simulator's own
+// substrate (the network model): Fire runs when the event's time comes.
+// Implementations are preallocated or recycled records, so posting one
+// allocates nothing; the same record may be posted again, even while an
+// earlier posting of it is still queued.
+type Event interface {
+	Fire()
+}
+
 // Timer is a handle to a scheduled event; it can be stopped before it
 // fires.
 type Timer struct {
 	when    time.Duration
-	id      uint64
 	fn      func()
 	sim     *Sim
 	stopped bool
 	fired   bool
+}
+
+// timerEvent is a Timer as a queued Event; the conversion keeps Fire off
+// Timer's exported method set.
+type timerEvent Timer
+
+func (t *timerEvent) Fire() {
+	t.fired = true
+	fn := t.fn
+	t.fn = nil
+	fn()
 }
 
 // Stop cancels the timer if it has not fired yet. It reports whether the
@@ -99,10 +124,23 @@ func (s *Sim) At(when time.Duration, fn func()) *Timer {
 	if when < s.now {
 		when = s.now
 	}
-	t := &Timer{when: when, id: s.nextID, fn: fn, sim: s}
-	s.nextID++
-	heap.Push(&s.queue, t)
+	t := &Timer{when: when, fn: fn, sim: s}
+	s.push(when, (*timerEvent)(t))
 	return t
+}
+
+// Post schedules ev to fire at absolute virtual time when, with At's
+// clamping and tie-break rules; Post and At draw from one id sequence,
+// so the two interleave in exact scheduling order. There is no handle:
+// a posted event cannot be stopped.
+func (s *Sim) Post(when time.Duration, ev Event) {
+	if ev == nil {
+		panic("des: nil event")
+	}
+	if when < s.now {
+		when = s.now
+	}
+	s.push(when, ev)
 }
 
 // compact rebuilds the heap without its stopped entries once they make
@@ -114,16 +152,16 @@ func (s *Sim) compact() {
 		return
 	}
 	live := s.queue[:0]
-	for _, t := range s.queue {
-		if !t.stopped {
-			live = append(live, t)
+	for _, e := range s.queue {
+		if !e.stopped() {
+			live = append(live, e)
 		}
 	}
-	for i := len(live); i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
+	clear(s.queue[len(live):])
 	s.queue = live
-	heap.Init(&s.queue)
+	for i := (len(live)+2)/4 - 1; i >= 0; i-- { // from the last parent up
+		down(live, i, live[i])
+	}
 	s.stopped = 0
 }
 
@@ -138,21 +176,15 @@ func (s *Sim) After(d time.Duration, fn func()) *Timer {
 // Step executes the next pending event, if any, advancing the clock to
 // its timestamp. It reports whether an event was executed.
 func (s *Sim) Step() bool {
-	for s.queue.Len() > 0 {
-		t, ok := heap.Pop(&s.queue).(*Timer)
-		if !ok {
-			panic("des: heap corrupted")
-		}
-		if t.stopped {
+	for len(s.queue) > 0 {
+		e := s.pop()
+		if e.stopped() {
 			s.stopped--
 			continue
 		}
-		s.now = t.when
-		t.fired = true
-		fn := t.fn
-		t.fn = nil
+		s.now = e.when
 		s.executed++
-		fn()
+		e.ev.Fire()
 		return true
 	}
 	return false
@@ -193,46 +225,106 @@ func (s *Sim) Pending() int {
 
 // peek returns the timestamp of the next live event.
 func (s *Sim) peek() (time.Duration, bool) {
-	for s.queue.Len() > 0 {
-		t := s.queue[0]
-		if t.stopped {
-			heap.Pop(&s.queue)
+	for len(s.queue) > 0 {
+		if s.queue[0].stopped() {
+			s.pop()
 			s.stopped--
 			continue
 		}
-		return t.when, true
+		return s.queue[0].when, true
 	}
 	return 0, false
 }
 
-// eventHeap orders timers by (when, id) so simultaneous events fire in
-// scheduling order.
-type eventHeap []*Timer
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].id < h[j].id
+// entry is one queued event. Its (when, id) key is stored inline, so
+// heap comparisons never follow a pointer; ids are unique, making the
+// key a total order.
+type entry struct {
+	when time.Duration
+	id   uint64
+	ev   Event
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	t, ok := x.(*Timer)
-	if !ok {
-		panic("des: pushed non-timer")
-	}
-	*h = append(*h, t)
+func (a *entry) less(b *entry) bool {
+	return a.when < b.when || (a.when == b.when && a.id < b.id)
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+// stopped reports whether e is a timer cancelled after it was queued.
+func (e *entry) stopped() bool {
+	t, ok := e.ev.(*timerEvent)
+	return ok && t.stopped
+}
+
+// push queues ev under the next id. The heap is 4-ary: node i's
+// children are 4i+1..4i+4, which halves the depth of a binary heap and
+// keeps a node's children on one or two cache lines.
+func (s *Sim) push(when time.Duration, ev Event) {
+	e := entry{when: when, id: s.nextID, ev: ev}
+	s.nextID++
+	q := s.queue
+	if len(q) == cap(q) {
+		// Grow by a quarter rather than append's doubling: a load
+		// peak's capacity stays until the queue falls to a quarter.
+		q = append(make([]entry, 0, len(q)+len(q)/4+1), q...)
+	}
+	q = append(q, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.less(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	s.queue = q
+}
+
+// pop removes and returns the minimum entry; the queue must be
+// non-empty. The vacated slot is zeroed so the queue's spare capacity
+// holds no event alive, and a queue that has fallen to a quarter of its
+// capacity moves to storage half the size, so one load peak does not
+// stay resident for the rest of a run.
+func (s *Sim) pop() entry {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{}
+	q = q[:n]
+	if n > 0 {
+		down(q, 0, last)
+	}
+	if c := cap(q); c > minShrinkCap && n < c/4 {
+		q = append(make([]entry, 0, c/2), q...)
+	}
+	s.queue = q
+	return top
+}
+
+// minShrinkCap is the queue capacity below which pop never shrinks it.
+const minShrinkCap = 64
+
+// down places e at slot i or below, moving smaller children up.
+func down(q []entry, i int, e entry) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].less(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].less(&e) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = e
 }

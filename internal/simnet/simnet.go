@@ -135,14 +135,16 @@ type linkFault struct {
 	extra     time.Duration
 }
 
-// frame is one queued transmission.
+// frame is one transmission on its way out: staged behind its sender's
+// CPU, then queued on the sender's egress, then on the wire.
 type frame struct {
-	src       ids.ProcID
-	dst       ids.ProcID // unicast destination (ignored for multicast)
-	multicast bool
-	payload   []byte
-	tx        time.Duration
+	src     ids.ProcID
+	dst     ids.ProcID // unicast destination, or allNodes for a multicast
+	payload []byte
 }
+
+// allNodes is a multicast frame's destination.
+const allNodes = ids.Nobody
 
 // Network is the simulated medium plus the per-node CPU model.
 //
@@ -158,11 +160,20 @@ type Network struct {
 	sim      *des.Sim
 	cfg      Config
 	handlers []Handler
+	// staged[i] holds node i's frames still paying its send CPU.
+	staged []sendStage
 	// egress[i] is node i's queued frames; the wire serves queues
 	// round-robin starting after lastServed.
-	egress     [][]frame
+	egress     []frameQueue
 	wireBusy   bool
 	lastServed int
+	// onWire is the transmission in progress while wireBusy; the
+	// wireDone event ends it.
+	onWire frame
+	// free is the recycled delivery records, linked through next;
+	// nfree counts them and out counts the records in flight.
+	free       *delivery
+	nfree, out int
 	// cpuFree[i] is when node i's CPU becomes idle.
 	cpuFree []time.Duration
 	// blocked[src][dst] suppresses delivery (partition injection).
@@ -201,11 +212,12 @@ func New(sim *des.Sim, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Network{
+	n := &Network{
 		sim:        sim,
 		cfg:        cfg,
 		handlers:   make([]Handler, cfg.Nodes),
-		egress:     make([][]frame, cfg.Nodes),
+		staged:     make([]sendStage, cfg.Nodes),
+		egress:     make([]frameQueue, cfg.Nodes),
 		cpuFree:    make([]time.Duration, cfg.Nodes),
 		blocked:    make(map[ids.ProcID]map[ids.ProcID]bool),
 		crashed:    make(map[ids.ProcID]bool),
@@ -213,7 +225,11 @@ func New(sim *des.Sim, cfg Config) (*Network, error) {
 		linkFaults: make(map[linkKey]linkFault),
 		slowFactor: make(map[ids.ProcID]int),
 		flapEpoch:  make(map[linkKey]int),
-	}, nil
+	}
+	for i := range n.staged {
+		n.staged[i].n, n.staged[i].p = n, ids.ProcID(i)
+	}
+	return n, nil
 }
 
 // SetRecorder installs an event recorder for fault injections and
@@ -221,14 +237,19 @@ func New(sim *des.Sim, cfg Config) (*Network, error) {
 func (n *Network) SetRecorder(r obs.Recorder) { n.rec = obs.OrNop(r) }
 
 // Crash fails node p crash-stop: everything it sends from now on is
-// discarded (including frames already queued on its egress), and
-// nothing is delivered to it. There is no recovery in this model.
+// discarded, as are the frames already queued on its egress, and no
+// packet arriving from now on is delivered to it. There is no recovery
+// in this model. Two kinds of work in progress outlive the crash:
+// frames still paying p's send CPU reach the wire as scheduled — they
+// occupy it and count in WireBytes — and are dropped only at delivery;
+// and a packet that arrived before the crash and is still paying p's
+// receive CPU is handed to the handler bound at its arrival.
 func (n *Network) Crash(p ids.ProcID) {
 	if !n.valid(p) || n.crashed[p] {
 		return
 	}
 	n.crashed[p] = true
-	n.egress[p] = nil
+	n.egress[p] = frameQueue{}
 	n.rec.Record(obs.Crash(n.sim.Now(), p))
 }
 
@@ -479,7 +500,7 @@ func (n *Network) SampleQueueDepths(every, until time.Duration) error {
 			return
 		}
 		for i := range n.egress {
-			n.rec.Record(obs.QueueDepth(now, ids.ProcID(i), len(n.egress[i])))
+			n.rec.Record(obs.QueueDepth(now, ids.ProcID(i), n.egress[i].n))
 		}
 		n.sim.After(every, tick)
 	}
@@ -505,7 +526,7 @@ func (n *Network) InjectGarbage(src, dst ids.ProcID, size int) error {
 	}
 	n.stats.GarbageInjected++
 	n.rec.Record(obs.Garbage(n.sim.Now(), dst, src, size))
-	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay)
+	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay, true)
 	return nil
 }
 
@@ -525,11 +546,9 @@ func (n *Network) InjectForged(src, dst ids.ProcID, payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("simnet: forged frame must be non-empty")
 	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
 	n.stats.Forged++
-	n.rec.Record(obs.Forged(n.sim.Now(), dst, src, len(buf)))
-	n.scheduleDelivery(src, dst, buf, n.sim.Now()+n.cfg.PropDelay)
+	n.rec.Record(obs.Forged(n.sim.Now(), dst, src, len(payload)))
+	n.scheduleDelivery(src, dst, payload, n.sim.Now()+n.cfg.PropDelay, false)
 	return nil
 }
 
@@ -558,11 +577,9 @@ func (n *Network) InjectReplay(i int) error {
 		return fmt.Errorf("simnet: replay index %d out of range [0,%d)", i, len(n.captured))
 	}
 	f := n.captured[i]
-	buf := make([]byte, len(f.payload))
-	copy(buf, f.payload)
 	n.stats.Replayed++
-	n.rec.Record(obs.Replayed(n.sim.Now(), f.dst, f.src, len(buf)))
-	n.scheduleDelivery(f.src, f.dst, buf, n.sim.Now()+n.cfg.PropDelay)
+	n.rec.Record(obs.Replayed(n.sim.Now(), f.dst, f.src, len(f.payload)))
+	n.scheduleDelivery(f.src, f.dst, f.payload, n.sim.Now()+n.cfg.PropDelay, false)
 	return nil
 }
 
@@ -599,15 +616,31 @@ func (n *Network) acquireCPU(p ids.ProcID, t time.Duration, d time.Duration) tim
 	return done
 }
 
-// enqueueFrame places a frame on src's egress queue at virtual time t
-// (after the sender's CPU cost) and kicks the medium if idle.
-func (n *Network) enqueueFrame(src ids.ProcID, f frame, t time.Duration) {
-	n.sim.At(t, func() {
-		n.egress[src] = append(n.egress[src], f)
-		if !n.wireBusy {
-			n.serveNext()
-		}
-	})
+// sendStage is node p's frames still paying its send CPU, in ready
+// order, and the event that moves the oldest to p's egress queue. Each
+// frame posts the stage once, at the frame's ready time; a node's ready
+// times never decrease (its CPU is one FIFO server) and equal times fire
+// in posting order, so each firing finds its own frame at the head.
+type sendStage struct {
+	frameQueue
+	n *Network
+	p ids.ProcID
+}
+
+func (st *sendStage) Fire() {
+	n := st.n
+	n.egress[st.p].push(st.pop())
+	if !n.wireBusy {
+		n.serveNext()
+	}
+}
+
+// stage queues a frame behind its sender's CPU, to reach the egress
+// queue at virtual time t.
+func (n *Network) stage(f frame, t time.Duration) {
+	st := &n.staged[f.src]
+	st.push(f)
+	n.sim.Post(t, st)
 }
 
 // serveNext grants the medium to the next node, round-robin, with a
@@ -615,40 +648,52 @@ func (n *Network) enqueueFrame(src ids.ProcID, f frame, t time.Duration) {
 func (n *Network) serveNext() {
 	for i := 1; i <= n.cfg.Nodes; i++ {
 		idx := (n.lastServed + i) % n.cfg.Nodes
-		if len(n.egress[idx]) == 0 {
+		if n.egress[idx].n == 0 {
 			continue
 		}
-		f := n.egress[idx][0]
-		n.egress[idx] = n.egress[idx][1:]
+		f := n.egress[idx].pop()
 		n.lastServed = idx
 		n.wireBusy = true
+		n.onWire = f
 		n.stats.WireBytes += uint64(len(f.payload) + n.cfg.FrameOverhead)
-		n.sim.After(f.tx, func() {
-			n.wireBusy = false
-			n.completeFrame(f)
-			n.serveNext()
-		})
+		n.sim.Post(n.sim.Now()+n.txTime(len(f.payload)), (*wireDone)(n))
 		return
 	}
 }
 
-// completeFrame fans a finished transmission out to its receivers.
+// wireDone ends the transmission in progress; it is the Network itself,
+// viewed as an Event.
+type wireDone Network
+
+func (w *wireDone) Fire() {
+	n := (*Network)(w)
+	f := n.onWire
+	n.onWire = frame{}
+	n.wireBusy = false
+	n.completeFrame(f)
+	n.serveNext()
+}
+
+// completeFrame fans a finished transmission out to its receivers. The
+// last delivery takes the frame's own payload, which nothing else
+// references; the others get copies.
 func (n *Network) completeFrame(f frame) {
 	now := n.sim.Now()
-	if !f.multicast {
-		n.scheduleDelivery(f.src, f.dst, f.payload, now+n.cfg.PropDelay)
+	if f.dst != allNodes {
+		n.scheduleDelivery(f.src, f.dst, f.payload, now+n.cfg.PropDelay, true)
 		return
 	}
 	for i := 0; i < n.cfg.Nodes; i++ {
 		dst := ids.ProcID(i)
+		last := i == n.cfg.Nodes-1
 		if dst == f.src {
 			// Sender loops its own multicast back without re-crossing
 			// the wire (but after the transmission completes, as a real
 			// interface would).
-			n.scheduleDelivery(f.src, dst, f.payload, now)
+			n.scheduleDelivery(f.src, dst, f.payload, now, last)
 			continue
 		}
-		n.scheduleDelivery(f.src, dst, f.payload, now+n.cfg.PropDelay)
+		n.scheduleDelivery(f.src, dst, f.payload, now+n.cfg.PropDelay, last)
 	}
 }
 
@@ -673,11 +718,10 @@ func (n *Network) Unicast(src, dst ids.ProcID, payload []byte) error {
 	sent := n.acquireCPU(src, n.sim.Now(), n.cfg.SendCPU)
 	if src == dst {
 		// Local loopback: costs send CPU only.
-		n.scheduleDelivery(src, dst, buf, sent)
+		n.scheduleDelivery(src, dst, buf, sent, true)
 		return nil
 	}
-	f := frame{src: src, dst: dst, payload: buf, tx: n.txTime(len(payload))}
-	n.enqueueFrame(src, f, sent)
+	n.stage(frame{src: src, dst: dst, payload: buf}, sent)
 	return nil
 }
 
@@ -700,8 +744,7 @@ func (n *Network) Multicast(src ids.ProcID, payload []byte) error {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
 	sent := n.acquireCPU(src, n.sim.Now(), n.cfg.SendCPU)
-	f := frame{src: src, multicast: true, payload: buf, tx: n.txTime(len(payload))}
-	n.enqueueFrame(src, f, sent)
+	n.stage(frame{src: src, dst: allNodes, payload: buf}, sent)
 	return nil
 }
 
@@ -712,13 +755,15 @@ func (n *Network) Inject(src, dst ids.ProcID, payload []byte) error {
 	if !n.valid(src) || !n.valid(dst) {
 		return fmt.Errorf("simnet: inject %v -> %v out of range", src, dst)
 	}
-	n.scheduleDelivery(src, dst, payload, n.sim.Now()+n.cfg.PropDelay)
+	n.scheduleDelivery(src, dst, payload, n.sim.Now()+n.cfg.PropDelay, false)
 	return nil
 }
 
 // scheduleDelivery applies the per-receiver fault model and queues the
-// handler invocation behind dst's CPU.
-func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival time.Duration) {
+// handler invocation behind dst's CPU. Receivers own their bytes: each
+// delivery gets its own copy of payload, except that when owned is set
+// the last copy takes payload itself.
+func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival time.Duration, owned bool) {
 	// Replay capture records the frame before the fault model touches it
 	// — the adversary's tap sees what the sender put on the wire. No RNG
 	// is consumed here, so enabling capture never perturbs a schedule.
@@ -775,9 +820,11 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 				n.rec.Record(obs.Delay(n.sim.Now(), dst, src, j))
 			}
 		}
-		// Copy the payload per delivery: receivers own their bytes.
-		buf := make([]byte, len(payload))
-		copy(buf, payload)
+		buf := payload
+		if !owned || c < copies-1 {
+			buf = make([]byte, len(payload))
+			copy(buf, payload)
+		}
 		// Corruption faults mutate this delivery's copy only, and every
 		// draw is guarded by its probability so that configurations
 		// without corruption consume exactly the legacy RNG stream.
@@ -800,20 +847,111 @@ func (n *Network) scheduleDelivery(src, dst ids.ProcID, payload []byte, arrival 
 				n.rec.Record(obs.Truncate(n.sim.Now(), dst, src, keep, len(payload)))
 			}
 		}
-		n.sim.At(at, func() {
-			h := n.handlers[dst]
-			if h == nil || n.crashed[dst] {
-				return
-			}
-			// Charge receive processing to dst's CPU queue; the handler
-			// logically runs when processing completes.
-			doneAt := n.acquireCPU(dst, n.sim.Now(), n.cfg.RecvCPU)
-			n.stats.Delivered++
-			if doneAt == n.sim.Now() {
-				h(src, buf)
-				return
-			}
-			n.sim.At(doneAt, func() { h(src, buf) })
-		})
+		d := n.acquire()
+		d.src, d.dst, d.payload = src, dst, buf
+		n.sim.Post(at, d)
 	}
+}
+
+// delivery is one packet copy on its way to a receiver, posted twice:
+// at arrival, and again when dst's CPU has processed it. Records are
+// recycled through Network.free.
+type delivery struct {
+	n        *Network
+	src, dst ids.ProcID
+	payload  []byte
+	// h is the handler bound at arrival; nil until then.
+	h    Handler
+	next *delivery
+}
+
+func (d *delivery) Fire() {
+	n := d.n
+	if d.h == nil {
+		h := n.handlers[d.dst]
+		if h == nil || n.crashed[d.dst] {
+			n.release(d)
+			return
+		}
+		// Charge receive processing to dst's CPU queue; the handler
+		// logically runs when processing completes.
+		doneAt := n.acquireCPU(d.dst, n.sim.Now(), n.cfg.RecvCPU)
+		n.stats.Delivered++
+		d.h = h
+		if doneAt != n.sim.Now() {
+			n.sim.Post(doneAt, d)
+			return
+		}
+	}
+	h, src, buf := d.h, d.src, d.payload
+	n.release(d)
+	h(src, buf)
+}
+
+// acquire takes a delivery record from the free list, or makes one.
+func (n *Network) acquire() *delivery {
+	n.out++
+	d := n.free
+	if d == nil {
+		return &delivery{n: n}
+	}
+	n.free, d.next = d.next, nil
+	n.nfree--
+	return d
+}
+
+// release returns d to the free list, unless the list already holds
+// more records than are in flight (plus a floor of keepDeliveries): a
+// load peak's records are let go as the load falls, so they do not stay
+// resident for the rest of a run.
+func (n *Network) release(d *delivery) {
+	n.out--
+	if n.nfree >= n.out+keepDeliveries {
+		return
+	}
+	d.payload, d.h = nil, nil
+	d.next = n.free
+	n.free = d
+	n.nfree++
+}
+
+// keepDeliveries is the free-list length kept whatever the load.
+const keepDeliveries = 128
+
+// frameQueue is a FIFO of frames in a ring that reuses its storage. A
+// queue that drains drops a ring larger than keepFrames slots, so one
+// burst's backlog does not stay resident for the rest of a run.
+type frameQueue struct {
+	buf     []frame // len(buf) is zero or a power of two
+	head, n int
+}
+
+// keepFrames is the ring size a drained queue keeps.
+const keepFrames = 8
+
+func (q *frameQueue) push(f frame) {
+	if q.n == len(q.buf) {
+		grown := make([]frame, max(keepFrames, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = f
+	q.n++
+}
+
+// pop removes the oldest frame; the queue must be non-empty.
+func (q *frameQueue) pop() frame {
+	f := q.buf[q.head]
+	q.buf[q.head] = frame{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	if q.n == 0 {
+		q.head = 0
+		if len(q.buf) > keepFrames {
+			q.buf = nil
+		}
+	}
+	return f
 }

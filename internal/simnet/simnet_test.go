@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -358,23 +359,95 @@ func TestInjectBypassesSender(t *testing.T) {
 	}
 }
 
+// TestPayloadIsolation: receivers own their bytes. A sender's later
+// writes to its buffer reach no receiver; one multicast receiver's
+// writes reach no other receiver, although the last delivery takes the
+// network's sender-side copy; and Inject never aliases the caller's
+// buffer.
 func TestPayloadIsolation(t *testing.T) {
-	sim, net := newNet(t, Config{Nodes: 2})
-	var seen []byte
-	if err := net.Bind(1, func(_ ids.ProcID, b []byte) { seen = b }); err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("abc")
-	if err := net.Unicast(0, 1, payload); err != nil {
-		t.Fatal(err)
-	}
-	payload[0] = 'X' // sender mutates after send
-	if err := sim.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if string(seen) != "abc" {
-		t.Errorf("receiver saw %q, want \"abc\" (payload must be copied)", seen)
-	}
+	t.Run("unicast", func(t *testing.T) {
+		sim, net := newNet(t, Config{Nodes: 2})
+		var seen []byte
+		if err := net.Bind(1, func(_ ids.ProcID, b []byte) { seen = b }); err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte("abc")
+		if err := net.Unicast(0, 1, payload); err != nil {
+			t.Fatal(err)
+		}
+		payload[0] = 'X' // sender mutates after send
+		if err := sim.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if string(seen) != "abc" {
+			t.Errorf("receiver saw %q, want \"abc\" (payload must be copied)", seen)
+		}
+	})
+	t.Run("multicast", func(t *testing.T) {
+		const nodes = 4
+		sim, net := newNet(t, Config{Nodes: nodes, PropDelay: time.Millisecond})
+		seen := make([][]string, nodes)
+		bufs := map[*byte]bool{}
+		for i := 0; i < nodes; i++ {
+			i := i
+			if err := net.Bind(ids.ProcID(i), func(_ ids.ProcID, b []byte) {
+				seen[i] = append(seen[i], string(b))
+				bufs[&b[0]] = true
+				for j := range b {
+					b[j] = 'X' // receivers scribble over what they own
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		payload := []byte("abc")
+		if err := net.Multicast(1, payload); err != nil {
+			t.Fatal(err)
+		}
+		payload[1] = 'Y'
+		if err := net.Multicast(2, []byte("def")); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range seen {
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, []string{"abc", "def"}) {
+				t.Errorf("node %d saw %q, want \"abc\" and \"def\"", i, got)
+			}
+		}
+		if len(bufs) != 2*nodes {
+			t.Errorf("%d deliveries shared %d buffers", 2*nodes, len(bufs))
+		}
+		if bufs[&payload[0]] || string(payload) != "aYc" {
+			t.Errorf("a receiver was handed the caller's buffer (now %q)", payload)
+		}
+	})
+	t.Run("inject", func(t *testing.T) {
+		sim, net := newNet(t, Config{Nodes: 2, PropDelay: time.Millisecond})
+		var seen []byte
+		if err := net.Bind(1, func(_ ids.ProcID, b []byte) {
+			seen = append([]byte(nil), b...)
+			b[0] = 'X'
+		}); err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte("abc")
+		if err := net.Inject(0, 1, payload); err != nil {
+			t.Fatal(err)
+		}
+		payload[2] = 'Z' // caller reuses its buffer before delivery
+		if err := sim.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if string(seen) != "abc" {
+			t.Errorf("receiver saw %q, want \"abc\"", seen)
+		}
+		if string(payload) != "abZ" {
+			t.Errorf("receiver's write reached the caller buffer: %q", payload)
+		}
+	})
 }
 
 func TestUnboundNodeDropsSilently(t *testing.T) {
